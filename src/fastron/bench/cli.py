@@ -1,6 +1,8 @@
 """Command-line harness: static, sweep, dynamic and planning experiments.
 
-Exit codes: 0 success, 2 config error, 3 assert-threshold failure.
+Exit codes: 0 success, 2 config error, 3 assert-threshold failure,
+4 runtime error (a ``ValueError`` raised mid-run, such as a
+``DuplicatePointError`` from ``append_points``).
 """
 
 from __future__ import annotations
@@ -116,7 +118,10 @@ def main(argv=None) -> int:
         if args.command == "static":
             records = _run_static_with_model_io(cfg, seeds, args)
         elif args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--values: {exc}") from exc
             if not values:
                 raise ConfigError("--values must contain at least one number")
             records, summary = run_sweep(cfg, args.parameter, values, seeds)
@@ -128,8 +133,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 4
     emit_report(records, args.out, summary_rows=summary)
     if args.check_asserts and cfg.asserts:
         failures = _check_asserts(records, cfg.asserts)

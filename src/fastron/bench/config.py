@@ -88,17 +88,19 @@ class ScenarioConfig:
         return _ROBOT_DEFAULTS[self.robot.type]["n0"]
 
     def with_override(self, parameter: str, value: float) -> "ScenarioConfig":
-        """Copy of the config with one sweep parameter replaced."""
+        """Validated copy of the config with one sweep parameter replaced."""
         if parameter == "beta":
-            return replace(self, fastron=replace(self.fastron, beta=float(value)))
-        if parameter == "gamma":
-            return replace(self, fastron=replace(self.fastron, gamma=float(value)))
-        if parameter == "obstacle_count":
-            return replace(
+            sub = replace(self, fastron=replace(self.fastron, beta=float(value)))
+        elif parameter == "gamma":
+            sub = replace(self, fastron=replace(self.fastron, gamma=float(value)))
+        elif parameter == "obstacle_count":
+            sub = replace(
                 self,
                 obstacles=replace(self.obstacles, count=int(value), randomize_count=False),
             )
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
+        else:
+            raise ConfigError(f"unknown sweep parameter {parameter!r}")
+        return _validate(sub)
 
 
 def _build(section_cls, data: dict, path: str):

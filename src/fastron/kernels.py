@@ -5,6 +5,14 @@ at 2: it needs no exp() call, so a kernel evaluation is a handful of
 multiplies, and it lower-bounds the Gaussian kernel of the same width.
 All points live in the normalized input space [-1, 1]^d.
 
+Every kernel value -- scalar, vector, or Gram entry -- takes its squared
+distance from one private helper that adds the squared coordinate
+differences one coordinate at a time, left to right. Scalar, vector and
+Gram values therefore agree bitwise at every dimension. For d <= 7 they
+also equal numpy's ``(diff * diff).sum()``, whose pairwise sum is
+sequential below 8 elements; from d = 8 on numpy unrolls its sum by 8 and
+the two differ in the last bits.
+
 Kernel functions are pure and thread-safe. A LazyGramMatrix is
 single-writer: it may move between threads but must not be mutated
 concurrently.
@@ -17,6 +25,20 @@ import math
 import numpy as np
 
 __all__ = ["rq_kernel", "gaussian_kernel", "rq_kernel_vector", "LazyGramMatrix"]
+
+
+def _squared_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``||X - Y||^2`` over the last axis, broadcasting the leading axes.
+
+    Summed one coordinate at a time: a strided pass per coordinate runs
+    several times faster than numpy's reduction over a short last axis.
+    """
+    diff = X[..., 0] - Y[..., 0]
+    d2 = diff * diff
+    for k in range(1, X.shape[-1]):
+        diff = X[..., k] - Y[..., k]
+        d2 += diff * diff
+    return d2
 
 
 def rq_kernel(x, y, gamma: float) -> float:
@@ -40,8 +62,7 @@ def rq_kernel(x, y, gamma: float) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    t = 1.0 + 0.5 * gamma * (diff * diff).sum()
+    t = 1.0 + 0.5 * gamma * _squared_distance(x, y)
     return float(1.0 / (t * t))
 
 
@@ -57,19 +78,22 @@ def gaussian_kernel(x, y, gamma: float) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    return math.exp(-gamma * (diff * diff).sum())
+    return math.exp(-gamma * _squared_distance(x, y))
 
 
 def rq_kernel_vector(X: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
     """Rational quadratic kernel of every row of ``X`` against ``q``.
 
-    Elementwise arithmetic matches :func:`rq_kernel` exactly, so a lazy
-    column fill and a scalar evaluation of the same pair agree bitwise.
+    Arithmetic matches :func:`rq_kernel` exactly, so a lazy column fill
+    and a scalar evaluation of the same pair agree bitwise. Leading axes
+    broadcast: ``X[:, None, :]`` against an (m, d) ``q`` gives the (n, m)
+    block of all pairs.
     """
-    diff = X - q
-    t = 1.0 + 0.5 * gamma * (diff * diff).sum(axis=1)
-    return 1.0 / (t * t)
+    t = _squared_distance(X, q)
+    t *= 0.5 * gamma
+    t += 1.0
+    t *= t
+    return np.divide(1.0, t, out=t)
 
 
 class LazyGramMatrix:
@@ -172,10 +196,8 @@ class LazyGramMatrix:
         if n_add:
             cols = np.flatnonzero(self._computed[:n_old])
             if cols.size:
-                diff = X_new[:, None, :] - X_old[None, cols, :]
-                d2 = (diff * diff).sum(axis=2)
-                t = 1.0 + 0.5 * self.gamma * d2
-                self._buf[n_old:n, cols] = 1.0 / (t * t)
+                block = rq_kernel_vector(X_new[:, None, :], X_old[cols], self.gamma)
+                self._buf[n_old:n, cols] = block
                 self.kernel_evals += n_add * cols.size
             self._computed[n_old:n] = False
         self.n = n

@@ -340,18 +340,27 @@ class FastronModel:
         return -1 if self.hypothesis(q) < 0.0 else 1
 
     def hypothesis_batch(self, Q, block: int = 1024) -> np.ndarray:
-        """Scores for many queries at once (direct-difference kernel form)."""
+        """Scores for many queries at once, ``block`` queries per product.
+
+        Uses the expanded form of :meth:`hypothesis` over the same cached
+        support arrays: per block, ``t = Q G' + c0 + gamma/2 |q|^2`` is one
+        matrix product, and the scores are ``(1 / t^2) a``. Only one
+        (block, |S|) buffer is live at a time. The summation order differs
+        from :meth:`hypothesis`, so scores agree to rounding, not bitwise.
+        """
         Q = np.asarray(Q, dtype=np.float64)
         out = np.zeros(Q.shape[0], dtype=np.float64)
-        Xs, a = self._support()[:2]
+        _, a, c0, G, half_gamma = self._support()
         if a.size == 0:
             return out
-        gamma = self.params.gamma
         for s in range(0, Q.shape[0], block):
             chunk = Q[s : s + block]
-            diff = chunk[:, None, :] - Xs[None, :, :]
-            t = 1.0 + 0.5 * gamma * (diff * diff).sum(axis=2)
-            out[s : s + chunk.shape[0]] = (1.0 / (t * t)) @ a
+            t = chunk @ G.T
+            t += c0
+            t += half_gamma * np.einsum("ij,ij->i", chunk, chunk)[:, None]
+            t *= t
+            np.divide(1.0, t, out=t)
+            out[s : s + chunk.shape[0]] = t @ a
         return out
 
     def predict_batch(self, Q, block: int = 1024) -> np.ndarray:

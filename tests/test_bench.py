@@ -232,6 +232,27 @@ def test_cli_config_error_exit_2(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def test_cli_bad_sweep_values_exit_2(tmp_path):
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}})
+    out = str(tmp_path / "o.csv")
+    for values in ("1,x", "-5"):
+        assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "1",
+                     "--parameter", "gamma", "--values", values]) == 2
+
+
+def test_cli_runtime_error_exit_4(tmp_path, monkeypatch, capsys):
+    import fastron.bench.cli as cli
+    from fastron.model import DuplicatePointError
+
+    def duplicate(cfg, seeds):
+        raise DuplicatePointError("appended points collide with retained set")
+
+    monkeypatch.setattr(cli, "run_dynamic_eval", duplicate)
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}})
+    assert main(["dynamic", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 4
+    assert "runtime error: appended points collide" in capsys.readouterr().err
+
+
 def test_cli_assert_failure_exit_3(tmp_path):
     cfg = write_cfg(tmp_path, {
         "robot": {"type": "dof2"},

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastron.kernels import gaussian_kernel, rq_kernel, rq_kernel_vector
+from fastron.kernels import LazyGramMatrix, gaussian_kernel, rq_kernel, rq_kernel_vector
+
+from reference import eager_gram
 
 
 def test_rq_zero_distance_is_exactly_one():
@@ -92,3 +94,26 @@ def test_vector_matches_scalar_bitwise():
     vec = rq_kernel_vector(X, q, 30.0)
     for i in range(50):
         assert vec[i] == rq_kernel(X[i], q, 30.0)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_kernel_paths_agree_bitwise(d):
+    rng = np.random.default_rng(100 + d)
+    gamma = 30.0
+    X = rng.uniform(-1, 1, (40, d))
+    S = np.array([[rq_kernel(x, z, gamma) for z in X] for x in X])
+    for j in range(len(X)):
+        np.testing.assert_array_equal(rq_kernel_vector(X, X[j], gamma), S[:, j])
+    g = LazyGramMatrix(gamma)
+    g.reset(30)
+    cols = range(0, 30, 3)
+    for j in cols:
+        np.testing.assert_array_equal(g.ensure_column(X[:30], j), S[:30, j])
+    g.complete_and_extend(X[:30], X[30:])
+    for j in cols:
+        np.testing.assert_array_equal(g.matrix[:, j], S[:, j])
+    if d <= 7:
+        # numpy's pairwise sum is sequential below 8 terms
+        np.testing.assert_array_equal(S, eager_gram(X, gamma))
+    else:
+        np.testing.assert_allclose(S, eager_gram(X, gamma), rtol=1e-14, atol=0.0)

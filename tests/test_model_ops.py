@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fastron.kernels import rq_kernel
 from fastron.model import DuplicatePointError, FastronModel, TrainParams
@@ -114,6 +118,52 @@ def test_batch_prediction_matches_single():
     batch = m.predict_batch(Q)
     single = np.array([m.predict(q) for q in Q])
     assert np.array_equal(batch, single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    n=st.integers(0, 300),
+    n_queries=st.integers(1, 200),
+    block=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, n=0, n_queries=5, block=2, seed=0)  # the empty model
+@example(d=4, n=200, n_queries=1, block=1024, seed=1)  # one query
+@example(d=3, n=150, n_queries=130, block=64, seed=2)  # ragged last block
+def test_batch_sign_agrees_with_single_property(d, n, n_queries, block, seed):
+    # batch and single sum in different orders, so only scores clear of
+    # rounding must agree in sign
+    rng = np.random.default_rng(seed)
+    m = FastronModel(TrainParams(gamma=float(rng.uniform(1.0, 50.0))), dim=d)
+    m.set_data(rng.uniform(-1, 1, (n, d)), np.where(rng.random(n) < 0.5, 1.0, -1.0))
+    m.train()
+    Q = rng.uniform(-1, 1, (n_queries, d))
+    f = np.array([m.hypothesis(q) for q in Q])
+    single = np.array([m.predict(q) for q in Q])
+    batch = m.predict_batch(Q, block=block)
+    assert batch.shape == (n_queries,)
+    decided = np.abs(f) > 1e-9 * float(np.abs(m.alpha).sum())
+    assert np.array_equal(batch[decided], single[decided])
+    if n == 0:
+        assert np.all(batch == 1)
+
+
+def test_batch_peak_memory_is_one_block_buffer():
+    # a (block, |S|, d) difference tensor would need about 9x block*|S|*8 bytes
+    rng = np.random.default_rng(3)
+    d, n, block = 4, 500, 1024
+    m = make_model(rng.uniform(-1, 1, (n, d)), np.ones(n), gamma=10.0)
+    m.alpha = rng.normal(size=n)
+    Q = rng.uniform(-1, 1, (1024, d))
+    m.predict_batch(Q[:1])  # builds the cached support arrays
+    tracemalloc.start()
+    try:
+        m.predict_batch(Q, block=block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block * m.support_count * 8
 
 
 # ----------------------------------------------------------------------
