@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--assert", dest="check_asserts", action="store_true",
                        help="exit 3 if config asserts fail on aggregated metrics")
         p.add_argument("--save-model", default=None,
-                       help="write the first seed's trained model (fastron v1 text)")
+                       help="write the model trained for the first seed (fastron v1 text)")
         p.add_argument("--load-model", default=None,
                        help="evaluate a saved model instead of training (static only)")
         if name == "sweep":
@@ -77,38 +77,6 @@ def _check_asserts(records, asserts) -> list[str]:
     return failures
 
 
-def _run_static_with_model_io(cfg, seeds, args):
-    from ..geometry import make_label_fn
-    from .report import MetricsRecord
-    from .runners import _S_HOLDOUT, _S_SCENARIO, _evaluate, _rng
-    from .scenarios import build_chain, build_workspace
-
-    if args.load_model is None:
-        records = run_static_eval(cfg, seeds)
-        if args.save_model is not None:
-            from .runners import _train_static_model
-
-            chain = build_chain(cfg)
-            workspace = build_workspace(cfg, _rng(seeds[0], _S_SCENARIO), chain)
-            model, _, _ = _train_static_model(
-                cfg, seeds[0], chain, make_label_fn(chain, workspace)
-            )
-            model.save(args.save_model)
-        return records
-    # evaluate a pre-trained model against each seed's scenario
-    model = FastronModel.load(args.load_model)
-    records = []
-    for seed in seeds:
-        chain = build_chain(cfg)
-        workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
-        label_fn = make_label_fn(chain, workspace)
-        holdout = _rng(seed, _S_HOLDOUT).uniform(-1.0, 1.0, (cfg.eval.holdout, chain.dof))
-        acc, tpr, tnr = _evaluate(model, label_fn, holdout)
-        records.append(MetricsRecord(run="static", seed=seed, accuracy=acc, tpr=tpr,
-                                     tnr=tnr, support_count=model.n))
-    return records
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -116,7 +84,15 @@ def main(argv=None) -> int:
         seeds = _seed_list(cfg, args)
         summary = None
         if args.command == "static":
-            records = _run_static_with_model_io(cfg, seeds, args)
+            if args.load_model is not None:
+                records = run_static_eval(cfg, seeds, model=FastronModel.load(args.load_model))
+            elif args.save_model is not None:
+                # only the first seed's model is kept: each holds an n0 x n0 Gram buffer
+                records, details = run_static_eval(cfg, seeds[:1], return_details=True)
+                details[0]["model"].save(args.save_model)
+                records += run_static_eval(cfg, seeds[1:])
+            else:
+                records = run_static_eval(cfg, seeds)
         elif args.command == "sweep":
             try:
                 values = [float(v) for v in args.values.split(",") if v.strip()]

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config"]
@@ -123,7 +124,27 @@ _SECTIONS = {
 }
 
 
+_SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _check_types(cfg: ScenarioConfig) -> None:
+    # scalar fields by their annotation ("int", "float | None", ...); bools
+    # are ints to Python, so they are told apart explicitly
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
+        for f in fields(obj):
+            kind, _, optional = f.type.partition(" | ")
+            val = getattr(obj, f.name)
+            if kind not in _SCALARS or (val is None and optional):
+                continue
+            if (isinstance(val, bool) != (kind == "bool") or not isinstance(val, _SCALARS[kind])
+                    or (kind == "float" and not math.isfinite(val))):
+                want = "a finite number" if kind == "float" else f"of type {kind}"
+                raise ConfigError(f"{section}.{f.name} must be {want}, got {val!r}")
+
+
 def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    _check_types(cfg)
     if cfg.robot.type not in _ROBOT_DEFAULTS:
         raise ConfigError(f"robot.type must be one of {sorted(_ROBOT_DEFAULTS)}")
     if cfg.robot.type == "custom" and not cfg.robot.rods:

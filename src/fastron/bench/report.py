@@ -1,118 +1,77 @@
-"""Metrics records and CSV emission with a fixed column schema."""
+"""Metrics records and CSV emission with a fixed column schema.
+
+``MetricsRecord``'s fields, in order, are the CSV columns. Each field
+declares its cell kind, which fixes its text form and its column name;
+emission and parsing are both derived from that schema.
+"""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple
 
 __all__ = ["MetricsRecord", "COLUMNS", "TIMING_COLUMNS", "emit_report", "parse_report"]
+
+
+class _Cell(NamedTuple):
+    encode: Callable[[Any], str]
+    decode: Callable[[str], Any]
+    suffix: str = ""
+
+
+_STR = _Cell(str, str)
+_INT = _Cell(str, int)
+_FLOAT = _Cell(lambda v: repr(float(v)), float)
+_SHARE = _Cell(lambda v: f"{v:.6f}", float)
+_NS = _Cell(lambda v: str(int(round(v * 1e9))), lambda c: int(c) / 1e9, "_ns")
+_BOOL = _Cell(lambda v: "1" if v else "0", lambda c: c == "1")
+
+
+def _col(cell: _Cell, default=None):
+    return field(default=default, metadata={"cell": cell})
 
 
 @dataclass
 class MetricsRecord:
     """One row of benchmark output; absent metrics stay None.
 
-    Times are seconds internally and nanosecond integers in the CSV.
+    Times are seconds internally and nanosecond integers in the CSV;
+    proportions carry six decimals. An empty cell parses back to the
+    field's default.
     """
 
-    run: str = ""
-    seed: int = 0
-    step: int | None = None
-    param: str | None = None
-    value: float | None = None
-    accuracy: float | None = None
-    tpr: float | None = None
-    tnr: float | None = None
-    support_count: int | None = None
-    query_time_proxy: float | None = None
-    query_time_oracle: float | None = None
-    update_time: float | None = None
-    plan_time: float | None = None
-    verify_time: float | None = None
-    repair_time: float | None = None
-    oracle_calls: int | None = None
-    route: str | None = None
-    certified: bool | None = None
-    plan_found: bool | None = None
+    run: str = _col(_STR, "")
+    seed: int = _col(_INT, 0)
+    step: int | None = _col(_INT)
+    param: str | None = _col(_STR)
+    value: float | None = _col(_FLOAT)
+    accuracy: float | None = _col(_SHARE)
+    tpr: float | None = _col(_SHARE)
+    tnr: float | None = _col(_SHARE)
+    support_count: int | None = _col(_INT)
+    query_time_proxy: float | None = _col(_NS)
+    query_time_oracle: float | None = _col(_NS)
+    update_time: float | None = _col(_NS)
+    plan_time: float | None = _col(_NS)
+    verify_time: float | None = _col(_NS)
+    repair_time: float | None = _col(_NS)
+    oracle_calls: int | None = _col(_INT)
+    route: str | None = _col(_STR)
+    certified: bool | None = _col(_BOOL)
+    plan_found: bool | None = _col(_BOOL)
 
 
-COLUMNS = (
-    "run",
-    "seed",
-    "step",
-    "param",
-    "value",
-    "accuracy",
-    "tpr",
-    "tnr",
-    "support_count",
-    "query_time_proxy_ns",
-    "query_time_oracle_ns",
-    "update_time_ns",
-    "plan_time_ns",
-    "verify_time_ns",
-    "repair_time_ns",
-    "oracle_calls",
-    "route",
-    "certified",
-    "plan_found",
-)
-
-TIMING_COLUMNS = frozenset(
-    c for c in COLUMNS if c.endswith("_ns")
-)
-
-_PROPORTIONS = ("accuracy", "tpr", "tnr")
-_TIMES = ("query_time_proxy", "query_time_oracle", "update_time",
-          "plan_time", "verify_time", "repair_time")
-_BOOLS = ("certified", "plan_found")
+_SCHEMA = tuple((f.name, f.metadata["cell"], f.default) for f in fields(MetricsRecord))
+COLUMNS = tuple(name + cell.suffix for name, cell, _ in _SCHEMA)
+TIMING_COLUMNS = frozenset(name + cell.suffix for name, cell, _ in _SCHEMA if cell is _NS)
 
 
-def _to_row(rec: MetricsRecord) -> list[str]:
-    row = [rec.run, str(rec.seed)]
-    row.append("" if rec.step is None else str(rec.step))
-    row.append(rec.param or "")
-    row.append("" if rec.value is None else repr(float(rec.value)))
-    for name in _PROPORTIONS:
-        v = getattr(rec, name)
-        row.append("" if v is None else f"{v:.6f}")
-    row.append("" if rec.support_count is None else str(rec.support_count))
-    for name in _TIMES:
-        v = getattr(rec, name)
-        row.append("" if v is None else str(int(round(v * 1e9))))
-    row.append("" if rec.oracle_calls is None else str(rec.oracle_calls))
-    row.append(rec.route or "")
-    for name in _BOOLS:
-        v = getattr(rec, name)
-        row.append("" if v is None else ("1" if v else "0"))
-    return row
-
-
-def _from_row(row: list[str]) -> MetricsRecord:
-    it = iter(row)
-    rec = MetricsRecord(run=next(it), seed=int(next(it)))
-    step = next(it)
-    rec.step = int(step) if step else None
-    param = next(it)
-    rec.param = param or None
-    value = next(it)
-    rec.value = float(value) if value else None
-    for name in _PROPORTIONS:
-        v = next(it)
-        setattr(rec, name, float(v) if v else None)
-    sc = next(it)
-    rec.support_count = int(sc) if sc else None
-    for name in _TIMES:
-        v = next(it)
-        setattr(rec, name, int(v) / 1e9 if v else None)
-    oc = next(it)
-    rec.oracle_calls = int(oc) if oc else None
-    route = next(it)
-    rec.route = route or None
-    for name in _BOOLS:
-        v = next(it)
-        setattr(rec, name, (v == "1") if v else None)
-    return rec
+def _record(row: list[str]) -> MetricsRecord:
+    return MetricsRecord(**{
+        name: default if text == "" else cell.decode(text)
+        for (name, cell, default), text in zip(_SCHEMA, row, strict=True)
+    })
 
 
 def emit_report(records, path, summary_rows=None) -> None:
@@ -125,7 +84,8 @@ def emit_report(records, path, summary_rows=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
         for rec in records:
-            writer.writerow(_to_row(rec))
+            writer.writerow("" if (v := getattr(rec, name)) is None else cell.encode(v)
+                            for name, cell, _ in _SCHEMA)
     if summary_rows:
         names = sorted({k for _, _, stats in summary_rows for k in stats})
         with open(f"{path}.summary.dat", "w", encoding="utf-8") as fh:
@@ -144,4 +104,4 @@ def parse_report(path) -> list[MetricsRecord]:
         header = next(reader)
         if tuple(header) != COLUMNS:
             raise ValueError(f"{path}: unexpected CSV header")
-        return [_from_row(row) for row in reader]
+        return [_record(row) for row in reader]

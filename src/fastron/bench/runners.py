@@ -116,37 +116,43 @@ def _train_static_model(cfg: ScenarioConfig, seed: int, chain, label_fn):
     return model, report, update_time
 
 
-def run_static_eval(cfg: ScenarioConfig, seeds) -> list[MetricsRecord]:
-    """Train on a static scenario per seed; report accuracy and query timing."""
+def run_static_eval(cfg: ScenarioConfig, seeds, return_details: bool = False,
+                    model: FastronModel | None = None):
+    """Train on a static scenario per seed; report accuracy and query timing.
+
+    With ``model`` given, that model is evaluated against each seed's
+    scenario instead: no training, and no timing columns. With
+    ``return_details``, also returns one dict per seed holding its
+    ``chain``, ``workspace`` and ``model``.
+    """
     records = []
+    details = []
     for seed in seeds:
         chain = build_chain(cfg)
         workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
         label_fn = make_label_fn(chain, workspace)
-        model, _, update_time = _train_static_model(cfg, seed, chain, label_fn)
+        rec = MetricsRecord(run="static", seed=seed)
+        seed_model = model
+        if model is None:
+            seed_model, _, rec.update_time = _train_static_model(cfg, seed, chain, label_fn)
         holdout = _rng(seed, _S_HOLDOUT).uniform(-1.0, 1.0, (cfg.eval.holdout, chain.dof))
-        acc, tpr, tnr = _evaluate(model, label_fn, holdout)
-        timing_q = _rng(seed, _S_TIMING).uniform(-1.0, 1.0, (4096, chain.dof))
-        queries = [np.ascontiguousarray(q) for q in timing_q]
-        t_proxy = median_call_time(
-            model.predict, queries, cfg.eval.timing_calls, cfg.eval.timing_batch
-        )
-        t_oracle = median_call_time(
-            label_fn, queries, cfg.eval.timing_calls, cfg.eval.timing_batch
-        )
-        records.append(
-            MetricsRecord(
-                run="static",
-                seed=seed,
-                accuracy=acc,
-                tpr=tpr,
-                tnr=tnr,
-                support_count=model.n,
-                query_time_proxy=t_proxy,
-                query_time_oracle=t_oracle,
-                update_time=update_time,
+        rec.accuracy, rec.tpr, rec.tnr = _evaluate(seed_model, label_fn, holdout)
+        rec.support_count = seed_model.n
+        if model is None:
+            timing_q = _rng(seed, _S_TIMING).uniform(-1.0, 1.0, (4096, chain.dof))
+            queries = [np.ascontiguousarray(q) for q in timing_q]
+            ev = cfg.eval
+            rec.query_time_proxy = median_call_time(
+                seed_model.predict, queries, ev.timing_calls, ev.timing_batch
             )
-        )
+            rec.query_time_oracle = median_call_time(
+                label_fn, queries, ev.timing_calls, ev.timing_batch
+            )
+        records.append(rec)
+        if return_details:
+            details.append({"chain": chain, "workspace": workspace, "model": seed_model})
+    if return_details:
+        return records, details
     return records
 
 

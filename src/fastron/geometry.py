@@ -408,14 +408,18 @@ class Workspace:
         return Workspace(obstacles, velocities, self.bounds)
 
 
-def kcd_label(chain: KinematicChain, workspace: Workspace, q) -> int:
-    """Ground-truth label of a joint configuration: +1 collision, -1 free."""
-    bodies = chain.forward_kinematics(q)
-    for link in bodies:
-        for obs in workspace.obstacles:
+def _collision_label(links, obstacles) -> int:
+    """+1 if any link intersects any obstacle, else -1."""
+    for link in links:
+        for obs in obstacles:
             if gjk_intersect(link, obs):
                 return 1
     return -1
+
+
+def kcd_label(chain: KinematicChain, workspace: Workspace, q) -> int:
+    """Ground-truth label of a joint configuration: +1 collision, -1 free."""
+    return _collision_label(chain.forward_kinematics(q), workspace.obstacles)
 
 
 def make_label_fn(chain: KinematicChain, workspace: Workspace):
@@ -441,10 +445,6 @@ def make_label_fn(chain: KinematicChain, workspace: Workspace):
             elif v > uppers[k]:
                 v = uppers[k]
             q[k] = v
-        for link in fk(q):
-            for obs in obstacles:
-                if gjk_intersect(link, obs):
-                    return 1
-        return -1
+        return _collision_label(fk(q), obstacles)
 
     return label

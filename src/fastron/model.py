@@ -22,6 +22,7 @@ threads for predict/hypothesis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,10 @@ class TrainParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
+        if not (math.isfinite(self.beta) and self.beta >= 1.0):
+            raise ValueError(f"beta must be finite and >= 1, got {self.beta!r}")
         if self.iter_max < 1:
             raise ValueError("iter_max must be >= 1")
         if self.s_max < 1:
@@ -85,6 +86,7 @@ class FastronModel:
         self.F = np.zeros(0, dtype=np.float64)
         self.gram = LazyGramMatrix(params.gamma, capacity=capacity)
         self._sv: tuple[np.ndarray, np.ndarray] | None = None
+        self.update_cycles = 0  # completed sampling.update_cycle passes
 
     @property
     def n(self) -> int:
@@ -102,8 +104,8 @@ class FastronModel:
             raise ValueError("points must be a 2-D array")
         if self.dim is not None and X.shape[0] and X.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {X.shape[1]}")
-        if X.size and np.abs(X).max() > 1.0:
-            raise ValueError("coordinates must lie in [-1, 1]")
+        if X.size and not np.abs(X).max() <= 1.0:  # NaN fails too
+            raise ValueError("coordinates must be finite and lie in [-1, 1]")
 
     @staticmethod
     def _validate_labels(y: np.ndarray, n: int) -> np.ndarray:
@@ -415,10 +417,12 @@ class FastronModel:
         head = lines[0].split()
         if len(head) != 6 or head[0] != "fastron" or head[1] != "v1":
             raise ValueError(f"{path}: not a fastron v1 model file")
-        fields = dict(tok.split("=", 1) for tok in head[2:])
-        d = int(fields["d"])
-        ns = int(fields["n"])
-        params = TrainParams(gamma=float(fields["gamma"]), beta=float(fields["beta"]))
+        try:
+            fields = dict(tok.split("=", 1) for tok in head[2:])
+            d, ns = int(fields["d"]), int(fields["n"])
+            params = TrainParams(gamma=float(fields["gamma"]), beta=float(fields["beta"]))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: bad header {lines[0]!r}: {exc!r}") from exc
         if len(lines) - 1 != ns:
             raise ValueError(f"{path}: expected {ns} support points, found {len(lines) - 1}")
         X = np.zeros((ns, d), dtype=np.float64)
@@ -431,6 +435,8 @@ class FastronModel:
             X[k] = vals[:d]
             y[k] = vals[d]
             alpha[k] = vals[d + 1]
+        if not (np.isfinite(X).all() and np.isfinite(alpha).all()):
+            raise ValueError(f"{path}: non-finite coordinate or weight")
         model = cls(params, dim=d)
         model.set_data(X, y)
         model.alpha = alpha

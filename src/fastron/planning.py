@@ -6,9 +6,12 @@ Plans produced with an approximate checker are certified afterwards:
 verify finds the edges an oracle rejects, repair excises them with one
 waypoint of margin and re-plans the gaps with the oracle as checker.
 
-Nearest neighbors use a linear scan; trees at this scale stay small and
-the behavior is easy to audit. Each planning call owns its RNG stream, so
-identical query + seed reproduces the identical plan.
+Both planners grow their trees with one routine (``_Tree`` plus
+``_extend``: nearest node, one bounded step, one edge check) and share
+the endpoint checks. Nearest neighbors use a linear scan; trees at this
+scale stay small and the behavior is easy to audit. Each planning call
+owns its RNG stream, so identical query + seed reproduces the identical
+plan.
 """
 
 from __future__ import annotations
@@ -82,64 +85,6 @@ def edge_valid(a, b, checker: CheckerFn, resolution: float) -> bool:
     return True
 
 
-def _trace_path(pts: np.ndarray, parents: np.ndarray, idx: int) -> list[np.ndarray]:
-    path = []
-    while idx >= 0:
-        path.append(pts[idx].copy())
-        idx = int(parents[idx])
-    path.reverse()
-    return path
-
-
-def rrt_plan(query: PlanQuery) -> MotionPlan | None:
-    """Single-tree RRT; returns a plan on reaching the goal region, else None.
-
-    The goal region is a step_size ball around the goal with a valid
-    connecting edge; the goal itself becomes the final waypoint.
-    """
-    checker = query.checker
-    start, goal = query.start, query.goal
-    if not checker(start):
-        raise ValueError("start configuration is in collision")
-    if not checker(goal):
-        raise ValueError("goal configuration is in collision")
-    if np.array_equal(start, goal):
-        return MotionPlan([start.copy()], iterations=0)
-    d = start.shape[0]
-    rng = np.random.default_rng(query.seed)
-    cap = query.max_iterations + 2
-    pts = np.empty((cap, d), dtype=np.float64)
-    parents = np.empty(cap, dtype=np.int64)
-    pts[0] = start
-    parents[0] = -1
-    n = 1
-    res = query.edge_resolution
-    for it in range(1, query.max_iterations + 1):
-        target = goal if rng.random() < query.goal_bias else rng.uniform(-1.0, 1.0, d)
-        diff = pts[:n] - target
-        j = int(np.argmin((diff * diff).sum(axis=1)))
-        near = pts[j]
-        step = target - near
-        dist = float(np.linalg.norm(step))
-        if dist == 0.0:
-            continue
-        new = target if dist <= query.step_size else near + (query.step_size / dist) * step
-        if not edge_valid(near, new, checker, res):
-            continue
-        pts[n] = new
-        parents[n] = j
-        n += 1
-        gd = float(np.linalg.norm(new - goal))
-        if gd == 0.0:
-            return MotionPlan(_trace_path(pts, parents, n - 1), iterations=it)
-        if gd <= query.step_size and edge_valid(new, goal, checker, res):
-            pts[n] = goal
-            parents[n] = n - 1
-            n += 1
-            return MotionPlan(_trace_path(pts, parents, n - 1), iterations=it)
-    return None
-
-
 class _Tree:
     __slots__ = ("pts", "parents", "n")
 
@@ -161,10 +106,18 @@ class _Tree:
         return self.n - 1
 
     def path(self, idx: int) -> list[np.ndarray]:
-        return _trace_path(self.pts, self.parents, idx)
+        """Waypoints from the root to node ``idx``."""
+        path = []
+        while idx >= 0:
+            path.append(self.pts[idx].copy())
+            idx = int(self.parents[idx])
+        path.reverse()
+        return path
 
 
 def _extend(tree: _Tree, target: np.ndarray, checker, step_size, res) -> int | None:
+    """Step from the nearest node toward ``target``; index of the new node,
+    or None when the target coincides with that node or the edge is blocked."""
     j = tree.nearest(target)
     near = tree.pts[j]
     step = target - near
@@ -189,25 +142,56 @@ def _connect(tree: _Tree, target: np.ndarray, checker, step_size, res) -> int | 
     return None
 
 
+def _endpoint_plan(query: PlanQuery) -> MotionPlan | None:
+    """Reject colliding endpoints; the one-waypoint plan when start == goal."""
+    if not query.checker(query.start):
+        raise ValueError("start configuration is in collision")
+    if not query.checker(query.goal):
+        raise ValueError("goal configuration is in collision")
+    if np.array_equal(query.start, query.goal):
+        return MotionPlan([query.start.copy()], iterations=0)
+    return None
+
+
+def rrt_plan(query: PlanQuery) -> MotionPlan | None:
+    """Single-tree RRT; returns a plan on reaching the goal region, else None.
+
+    The goal region is a step_size ball around the goal with a valid
+    connecting edge; the goal itself becomes the final waypoint.
+    """
+    trivial = _endpoint_plan(query)
+    if trivial is not None:
+        return trivial
+    checker, goal, res = query.checker, query.goal, query.edge_resolution
+    d = goal.shape[0]
+    rng = np.random.default_rng(query.seed)
+    tree = _Tree(query.start, query.max_iterations + 2)
+    for it in range(1, query.max_iterations + 1):
+        target = goal if rng.random() < query.goal_bias else rng.uniform(-1.0, 1.0, d)
+        idx = _extend(tree, target, checker, query.step_size, res)
+        if idx is None:
+            continue
+        gd = float(np.linalg.norm(tree.pts[idx] - goal))
+        if gd == 0.0:
+            return MotionPlan(tree.path(idx), iterations=it)
+        if gd <= query.step_size and edge_valid(tree.pts[idx], goal, checker, res):
+            return MotionPlan(tree.path(tree.add(goal, idx)), iterations=it)
+    return None
+
+
 def rrt_connect_plan(query: PlanQuery) -> MotionPlan | None:
     """Bidirectional RRT with the greedy connect heuristic."""
-    checker = query.checker
-    start, goal = query.start, query.goal
-    if not checker(start):
-        raise ValueError("start configuration is in collision")
-    if not checker(goal):
-        raise ValueError("goal configuration is in collision")
-    if np.array_equal(start, goal):
-        return MotionPlan([start.copy()], iterations=0)
-    d = start.shape[0]
+    trivial = _endpoint_plan(query)
+    if trivial is not None:
+        return trivial
+    checker, res = query.checker, query.edge_resolution
     rng = np.random.default_rng(query.seed)
     cap = 2 * query.max_iterations + 4
-    tree_a = _Tree(start, cap)
-    tree_b = _Tree(goal, cap)
+    tree_a = _Tree(query.start, cap)
+    tree_b = _Tree(query.goal, cap)
     swapped = False
-    res = query.edge_resolution
     for it in range(1, query.max_iterations + 1):
-        sample = rng.uniform(-1.0, 1.0, d)
+        sample = rng.uniform(-1.0, 1.0, query.start.shape[0])
         idx_a = _extend(tree_a, sample, checker, query.step_size, res)
         if idx_a is not None:
             q_new = tree_a.pts[idx_a].copy()

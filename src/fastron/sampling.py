@@ -11,7 +11,7 @@ consulted exactly ``|S| + a_max`` times per cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -118,10 +118,10 @@ def update_cycle(model: FastronModel, oracle: LabelFn, params: SamplerParams) ->
     the retained support points are relabeled and the previously queued
     active set is labeled for the first time. The next active set is
     appended with provisional +1 labels; the following cycle's relabel
-    pass assigns their real ones.
+    pass assigns their real ones. Cycle k draws from its own stream,
+    split off the sampler seed by ``model.update_cycles``.
     """
-    cycle = getattr(model, "_update_cycles", 0)
-    rng = _cycle_rng(params, cycle)
+    rng = _cycle_rng(params, model.update_cycles)
     if model.n == 0:
         if model.dim is None:
             raise ValueError("model dimension unknown; construct with dim=")
@@ -133,14 +133,8 @@ def update_cycle(model: FastronModel, oracle: LabelFn, params: SamplerParams) ->
         model.set_labels(y)
     report = model.train()
     model.sparsify()
-    sp = params if params.sigma is not None else SamplerParams(
-        a_max=params.a_max,
-        kappa=params.kappa,
-        sigma=resolved_sigma(params, model.params.gamma),
-        seed=params.seed,
-        n_initial=params.n_initial,
-    )
+    sp = replace(params, sigma=resolved_sigma(params, model.params.gamma))
     active = generate_active_set(model.X, sp, rng, dim=model.dim)
     model.append_points(active, np.ones(active.shape[0]))
-    model._update_cycles = cycle + 1
+    model.update_cycles += 1
     return report

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from fastron.bench.config import ConfigError, load_config
-from fastron.bench.report import COLUMNS, MetricsRecord, emit_report, parse_report
+from fastron.bench.report import (
+    COLUMNS,
+    TIMING_COLUMNS,
+    MetricsRecord,
+    emit_report,
+    parse_report,
+)
 from fastron.bench.runners import (
     run_dynamic_eval,
     run_planning_eval,
@@ -63,6 +69,26 @@ def test_bad_values_rejected():
         load_config({"robot": {"type": "dof7"}})
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("fastron", "gamma", float("nan")),
+    ("fastron", "beta", float("nan")),
+    ("fastron", "sigma", float("inf")),
+    ("obstacles", "count", "4"),
+    ("obstacles", "count", True),
+    ("obstacles", "randomize_count", 1),
+    ("robot", "type", ["dof2"]),
+    ("eval", "holdout", 100.0),
+])
+def test_non_finite_and_mistyped_values_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config({section: {key: value}})
+
+
+def test_sweep_override_rejects_non_finite():
+    with pytest.raises(ConfigError, match="fastron.beta"):
+        load_config({}).with_override("beta", float("nan"))
+
+
 def test_robot_type_defaults():
     cfg2 = load_config({"robot": {"type": "dof2"}})
     cfg4 = load_config({"robot": {"type": "dof4"}})
@@ -110,6 +136,14 @@ def test_records_round_trip(tmp_path):
     # constant column count across run types
     rows = out.read_text().strip().splitlines()
     assert all(r.count(",") == rows[0].count(",") for r in rows)
+
+
+def test_columns_follow_record_fields():
+    from dataclasses import fields
+
+    assert [c.removesuffix("_ns") for c in COLUMNS] == [f.name for f in fields(MetricsRecord)]
+    assert TIMING_COLUMNS == {c for c in COLUMNS if c.endswith("_ns")}
+    assert len(TIMING_COLUMNS) == 6
 
 
 def test_sweep_summary_file(tmp_path):
@@ -253,6 +287,13 @@ def test_cli_runtime_error_exit_4(tmp_path, monkeypatch, capsys):
     assert "runtime error: appended points collide" in capsys.readouterr().err
 
 
+def test_cli_mistyped_config_value_exit_2(tmp_path, capsys):
+    for section, key, value in (("obstacles", "count", "4"), ("fastron", "gamma", float("nan"))):
+        cfg = write_cfg(tmp_path, {section: {key: value}})
+        assert main(["static", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
+
+
 def test_cli_assert_failure_exit_3(tmp_path):
     cfg = write_cfg(tmp_path, {
         "robot": {"type": "dof2"},
@@ -283,6 +324,33 @@ def test_cli_save_and_load_model(tmp_path):
     assert code == 0
     recs = parse_report(tmp_path / "b.csv")
     assert recs[0].accuracy is not None
+
+
+def test_cli_save_model_trains_each_seed_once(tmp_path, monkeypatch):
+    import fastron.bench.runners as runners
+
+    trained = []
+    train = runners._train_static_model
+
+    def counted(cfg, seed, chain, label_fn):
+        trained.append(seed)
+        return train(cfg, seed, chain, label_fn)
+
+    monkeypatch.setattr(runners, "_train_static_model", counted)
+    data = {
+        "robot": {"type": "dof2"},
+        "obstacles": {"count": 2},
+        "fastron": {"n0": 300},
+        "eval": {"holdout": 400, "timing_calls": 1000, "timing_batch": 500},
+    }
+    saved = tmp_path / "model.txt"
+    code = main(["static", "--config", write_cfg(tmp_path, data), "--out",
+                 str(tmp_path / "o.csv"), "--seeds", "2", "--save-model", str(saved)])
+    assert code == 0
+    assert trained == [0, 1]
+    _, details = run_static_eval(load_config(data), [0], return_details=True)
+    details[0]["model"].save(tmp_path / "expected.txt")
+    assert saved.read_text() == (tmp_path / "expected.txt").read_text()
 
 
 def test_cli_sweep_emits_summary(tmp_path):

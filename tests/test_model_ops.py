@@ -402,3 +402,33 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("not a model\n")
     with pytest.raises(ValueError):
         FastronModel.load(path)
+
+
+def _saved_lines(tmp_path):
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1, 1, (40, 2))
+    m = make_model(X, np.where(X[:, 0] > 0, 1.0, -1.0))
+    m.train()
+    m.sparsify()
+    m.save(tmp_path / "good.txt")
+    return (tmp_path / "good.txt").read_text().splitlines()
+
+
+def test_load_rejects_misspelled_or_missing_header_key(tmp_path):
+    lines = _saved_lines(tmp_path)
+    path = tmp_path / "bad.txt"
+    for old, new in (("gamma=", "gama="), (" n=", " m=")):
+        path.write_text("\n".join([lines[0].replace(old, new)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="bad header"):
+            FastronModel.load(path)
+
+
+def test_load_rejects_non_finite_coordinate_or_weight(tmp_path):
+    lines = _saved_lines(tmp_path)
+    path = tmp_path / "bad.txt"
+    for col in (0, -1):  # first coordinate, weight
+        toks = lines[1].split()
+        toks[col] = "nan"
+        path.write_text("\n".join([lines[0], " ".join(toks)] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            FastronModel.load(path)

@@ -208,3 +208,16 @@ def test_train_report_invariant_unbounded_runs():
         rep = m.train()
         if rep.iterations_used < m.params.iter_max and not rep.reverted and not rep.cap_blocked:
             assert rep.final_misclassified == 0
+
+
+@pytest.mark.parametrize("kw, field", [
+    ({"gamma": float("nan")}, "gamma"),
+    ({"gamma": float("inf")}, "gamma"),
+    ({"beta": float("nan")}, "beta"),
+    ({"beta": float("inf")}, "beta"),
+    ({"gamma": 0.0}, "gamma"),
+    ({"beta": 0.5}, "beta"),
+])
+def test_train_params_reject_non_finite_and_out_of_range(kw, field):
+    with pytest.raises(ValueError, match=field):
+        TrainParams(**kw)

@@ -151,3 +151,16 @@ def test_cycle_deterministic_given_seeds():
     update_cycle(b, FlatOracle([1.0, 0.0]), params)
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.alpha, b.alpha)
+
+
+def test_update_cycle_counter_is_explicit_state():
+    model = make_cycle_model()
+    assert model.update_cycles == 0
+    params = SamplerParams(a_max=100, kappa=4, seed=7, n_initial=400)
+    for k in (1, 2):
+        update_cycle(model, FlatOracle([1.0, 0.0]), params)
+        assert model.update_cycles == k
+    # cycle 1 drew its active set from the stream spawned with key 1
+    sp = SamplerParams(a_max=100, kappa=4, seed=7, sigma=resolved_sigma(params, 30.0))
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1,)))
+    np.testing.assert_array_equal(model.X[-100:], generate_active_set(model.X[:-100], sp, rng))
