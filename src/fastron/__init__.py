@@ -7,7 +7,7 @@ the learner with the exact geometric oracle it is trained against,
 sampling-based planners that consume either checker, and a benchmark CLI.
 """
 
-from .kernels import LazyGramMatrix, gaussian_kernel, rq_kernel
+from .kernels import LazyGramMatrix, rq_kernel
 from .model import DuplicatePointError, FastronModel, TrainParams, TrainReport
 from .sampling import SamplerParams, generate_active_set, update_cycle
 from .geometry import (
@@ -35,7 +35,6 @@ from .planning import (
 
 __all__ = [
     "rq_kernel",
-    "gaussian_kernel",
     "LazyGramMatrix",
     "FastronModel",
     "TrainParams",

@@ -54,7 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seed_list(cfg, args) -> list[int]:
+    if args.seed_offset < 0:
+        raise ConfigError(f"--seed-offset must be >= 0, got {args.seed_offset}")
     if args.seeds is not None:
+        if args.seeds < 1:
+            raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
         return list(range(args.seed_offset, args.seed_offset + args.seeds))
     if cfg.seeds is not None:
         return [s + args.seed_offset for s in cfg.seeds]

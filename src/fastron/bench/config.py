@@ -188,9 +188,10 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if ev.holdout < 1 or ev.timing_calls < 1 or ev.timing_batch < 1:
         raise ConfigError("eval fields must be >= 1")
     if cfg.seeds is not None and (
-        not isinstance(cfg.seeds, list) or not all(isinstance(s, int) for s in cfg.seeds)
+        not isinstance(cfg.seeds, list) or not cfg.seeds
+        or not all(isinstance(s, int) and s >= 0 for s in cfg.seeds)
     ):
-        raise ConfigError("seeds must be a list of integers")
+        raise ConfigError("seeds must be a non-empty list of non-negative integers")
     return cfg
 
 

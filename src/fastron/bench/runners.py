@@ -254,11 +254,62 @@ def _timed_pipeline(planner, query: PlanQuery, oracle_free, cert_resolution: flo
         repair_time = perf_counter() - t0
     else:
         plan.certified = True
-    if plan is not None:
-        plan.planner_time = plan_time
-        plan.verify_time = verify_time
-        plan.repair_time = repair_time
     return plan, plan_time, verify_time, repair_time
+
+
+def _plan_seed(cfg: ScenarioConfig, seed: int, records: list, details: list | None) -> None:
+    """Train one seed's model and plan by both routes; appends its records and detail."""
+    pl = cfg.planner
+    chain = build_chain(cfg)
+    workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
+    label_fn = make_label_fn(chain, workspace)
+    model, _, _ = _train_static_model(cfg, seed, chain, label_fn)
+    oracle_free = lambda p, fn=label_fn: fn(p) == -1
+    proxy_free = lambda p, m=model: m.predict(p) == -1
+    pair = random_start_goal(
+        _rng(seed, _S_STARTGOAL),
+        (oracle_free, proxy_free),
+        chain.dof,
+        pl.min_start_goal_dist,
+    )
+    plans = {}
+    if details is not None:
+        details.append({"chain": chain, "workspace": workspace, "model": model,
+                        "plans": plans, "start_goal": pair})
+    if pair is None:
+        for route in ("proxy", "oracle"):
+            records.append(MetricsRecord(run="plan", seed=seed, route=route,
+                                         plan_found=False, certified=False))
+        return
+    start, goal = pair
+    for route, checker in (("proxy", proxy_free), ("oracle", oracle_free)):
+        query = PlanQuery(
+            start,
+            goal,
+            checker,
+            edge_resolution=pl.edge_resolution,
+            step_size=pl.step_size,
+            goal_bias=pl.goal_bias,
+            max_iterations=pl.max_iterations,
+            seed=_rng(seed, _S_PLAN).integers(0, 2**31),
+        )
+        plan, plan_time, verify_time, repair_time = _timed_pipeline(
+            _PLANNERS[pl.algorithm], query, oracle_free, pl.edge_resolution / 2.0
+        )
+        plans[route] = plan
+        records.append(
+            MetricsRecord(
+                run="plan",
+                seed=seed,
+                route=route,
+                support_count=model.n if route == "proxy" else None,
+                plan_time=plan_time,
+                verify_time=verify_time if plan is not None else None,
+                repair_time=repair_time if plan is not None else None,
+                certified=plan.certified if plan is not None else False,
+                plan_found=plan is not None,
+            )
+        )
 
 
 def run_planning_eval(cfg: ScenarioConfig, seeds, return_details: bool = False):
@@ -266,64 +317,14 @@ def run_planning_eval(cfg: ScenarioConfig, seeds, return_details: bool = False):
 
     Both routes are certified against the oracle at half the planning edge
     resolution, so a certified plan withstands an independent check at
-    that resolution exactly.
+    that resolution exactly. A seed's model, with its n0 x n0 Gram
+    buffer, is freed before the next seed trains unless
+    ``return_details`` keeps it in that seed's detail dict.
     """
-    planner = _PLANNERS[cfg.planner.algorithm]
-    pl = cfg.planner
-    cert_res = pl.edge_resolution / 2.0
     records = []
-    details = []
+    details = [] if return_details else None
     for seed in seeds:
-        chain = build_chain(cfg)
-        workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
-        label_fn = make_label_fn(chain, workspace)
-        model, _, _ = _train_static_model(cfg, seed, chain, label_fn)
-        oracle_free = lambda p, fn=label_fn: fn(p) == -1
-        proxy_free = lambda p, m=model: m.predict(p) == -1
-        pair = random_start_goal(
-            _rng(seed, _S_STARTGOAL),
-            (oracle_free, proxy_free),
-            chain.dof,
-            pl.min_start_goal_dist,
-        )
-        detail = {"chain": chain, "workspace": workspace, "model": model,
-                  "plans": {}, "start_goal": pair}
-        if pair is None:
-            for route in ("proxy", "oracle"):
-                records.append(MetricsRecord(run="plan", seed=seed, route=route,
-                                             plan_found=False, certified=False))
-            details.append(detail)
-            continue
-        start, goal = pair
-        for route, checker in (("proxy", proxy_free), ("oracle", oracle_free)):
-            query = PlanQuery(
-                start,
-                goal,
-                checker,
-                edge_resolution=pl.edge_resolution,
-                step_size=pl.step_size,
-                goal_bias=pl.goal_bias,
-                max_iterations=pl.max_iterations,
-                seed=_rng(seed, _S_PLAN).integers(0, 2**31),
-            )
-            plan, plan_time, verify_time, repair_time = _timed_pipeline(
-                planner, query, oracle_free, cert_res
-            )
-            detail["plans"][route] = plan
-            records.append(
-                MetricsRecord(
-                    run="plan",
-                    seed=seed,
-                    route=route,
-                    support_count=model.n if route == "proxy" else None,
-                    plan_time=plan_time,
-                    verify_time=verify_time if plan is not None else None,
-                    repair_time=repair_time if plan is not None else None,
-                    certified=plan.certified if plan is not None else False,
-                    plan_found=plan is not None,
-                )
-            )
-        details.append(detail)
+        _plan_seed(cfg, seed, records, details)
     if return_details:
         return records, details
     return records

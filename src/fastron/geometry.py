@@ -42,28 +42,10 @@ _GJK_TOL = 1e-10
 _LIMIT_TOL = 1e-9
 
 
-def rot_z(a: float) -> Rot3:
-    c, s = math.cos(a), math.sin(a)
-    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
-
-
-def rot_y(a: float) -> Rot3:
-    c, s = math.cos(a), math.sin(a)
-    return ((c, 0.0, s), (0.0, 1.0, 0.0), (-s, 0.0, c))
-
-
 def rot_mul(a: Rot3, b: Rot3) -> Rot3:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )  # type: ignore[return-value]
-
-
-def rot_apply(r: Rot3, v: Vec3) -> Vec3:
-    return (
-        r[0][0] * v[0] + r[0][1] * v[1] + r[0][2] * v[2],
-        r[1][0] * v[0] + r[1][1] * v[1] + r[1][2] * v[2],
-        r[2][0] * v[0] + r[2][1] * v[1] + r[2][2] * v[2],
-    )
 
 
 class Box:
@@ -304,14 +286,25 @@ class KinematicChain:
         self.dof = 2 * len(rods)
         self.q_lower = np.array([-math.pi, 0.0] * len(rods))
         self.q_upper = np.array([math.pi, math.pi] * len(rods))
+        # (lower, upper, upper - lower, upper + lower) per joint, as plain floats
+        self._limits = tuple((l, u, u - l, u + l)
+                             for l, u in zip(self.q_lower.tolist(), self.q_upper.tolist()))
         self.reach = sum(l for l, _ in rods)
 
     def _check_limits(self, q) -> None:
         if len(q) != self.dof:
             raise ValueError(f"expected {self.dof} joint values, got {len(q)}")
-        for k in range(self.dof):
-            if not (self.q_lower[k] - _LIMIT_TOL <= q[k] <= self.q_upper[k] + _LIMIT_TOL):
+        for k, (lower, upper, _, _) in enumerate(self._limits):
+            if not (lower - _LIMIT_TOL <= q[k] <= upper + _LIMIT_TOL):
                 raise ValueError(f"joint {k} value {q[k]} outside limits")
+
+    def joints_from_input(self, p) -> list[float]:
+        """The one input-space to joint mapping, in plain floats; clamps rounding spill."""
+        q = []
+        for x, (lower, upper, span, usum) in zip(p, self._limits):
+            v = 0.5 * (float(x) * span + usum)
+            q.append(lower if v < lower else upper if v > upper else v)
+        return q
 
     def forward_kinematics(self, q) -> list:
         """Pose every link in the world frame for joint vector ``q``."""
@@ -364,8 +357,7 @@ def from_input_space(p, chain: KinematicChain) -> np.ndarray:
         raise ValueError(f"expected {chain.dof} coordinates, got {len(p)}")
     if p.size and np.abs(p).max() > 1.0 + _LIMIT_TOL:
         raise ValueError("input-space point outside [-1, 1]^d")
-    q = 0.5 * (p * (chain.q_upper - chain.q_lower) + chain.q_upper + chain.q_lower)
-    return np.clip(q, chain.q_lower, chain.q_upper)
+    return np.array(chain.joints_from_input(p.tolist()), dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -408,43 +400,20 @@ class Workspace:
         return Workspace(obstacles, velocities, self.bounds)
 
 
-def _collision_label(links, obstacles) -> int:
-    """+1 if any link intersects any obstacle, else -1."""
-    for link in links:
-        for obs in obstacles:
+def kcd_label(chain: KinematicChain, workspace: Workspace, q) -> int:
+    """Ground-truth label of a joint configuration: +1 collision, -1 free."""
+    for link in chain.forward_kinematics(q):
+        for obs in workspace.obstacles:
             if gjk_intersect(link, obs):
                 return 1
     return -1
 
 
-def kcd_label(chain: KinematicChain, workspace: Workspace, q) -> int:
-    """Ground-truth label of a joint configuration: +1 collision, -1 free."""
-    return _collision_label(chain.forward_kinematics(q), workspace.obstacles)
-
-
 def make_label_fn(chain: KinematicChain, workspace: Workspace):
-    """Input-space labeler running the whole checking cycle per call.
-
-    The mapping arithmetic matches :func:`from_input_space` exactly; it is
-    inlined with plain floats because this callable is the timing baseline.
-    """
-    spans = [(float(u - l), float(u + l)) for l, u in zip(chain.q_lower, chain.q_upper)]
-    lowers = [float(l) for l in chain.q_lower]
-    uppers = [float(u) for u in chain.q_upper]
-    obstacles = workspace.obstacles
-    fk = chain.forward_kinematics
-    dof = chain.dof
+    """Input-space labeler: the joint mapping, then :func:`kcd_label`; the timing baseline."""
+    joints = chain.joints_from_input
 
     def label(p) -> int:
-        q = [0.0] * dof
-        for k in range(dof):
-            span, usum = spans[k]
-            v = 0.5 * (float(p[k]) * span + usum)
-            if v < lowers[k]:
-                v = lowers[k]
-            elif v > uppers[k]:
-                v = uppers[k]
-            q[k] = v
-        return _collision_label(fk(q), obstacles)
+        return kcd_label(chain, workspace, joints(p))
 
     return label

@@ -2,7 +2,7 @@
 
 The proxy model uses the rational quadratic kernel with the exponent fixed
 at 2: it needs no exp() call, so a kernel evaluation is a handful of
-multiplies, and it lower-bounds the Gaussian kernel of the same width.
+multiplies, and it bounds the Gaussian kernel of the same width from above.
 All points live in the normalized input space [-1, 1]^d.
 
 Every kernel value -- scalar, vector, or Gram entry -- takes its squared
@@ -20,11 +20,9 @@ concurrently.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["rq_kernel", "gaussian_kernel", "rq_kernel_vector", "LazyGramMatrix"]
+__all__ = ["rq_kernel", "rq_kernel_vector", "LazyGramMatrix"]
 
 
 def _squared_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -64,21 +62,6 @@ def rq_kernel(x, y, gamma: float) -> float:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     t = 1.0 + 0.5 * gamma * _squared_distance(x, y)
     return float(1.0 / (t * t))
-
-
-def gaussian_kernel(x, y, gamma: float) -> float:
-    """Gaussian kernel ``exp(-gamma * ||x - y||^2)``.
-
-    Kept for comparison tests and timing benchmarks; the learner itself
-    always uses :func:`rq_kernel`, which bounds this from above.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return math.exp(-gamma * _squared_distance(x, y))
 
 
 def rq_kernel_vector(X: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:

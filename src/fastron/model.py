@@ -38,16 +38,12 @@ class DuplicatePointError(ValueError):
 
 @dataclass
 class TrainParams:
-    """Hyperparameters of the learner.
-
-    ``seed`` is bookkeeping only: training itself is deterministic.
-    """
+    """Hyperparameters of the learner; training is deterministic."""
 
     gamma: float = 30.0
     beta: float = 1.0
     iter_max: int = 5000
     s_max: int = 1500
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
@@ -206,7 +202,7 @@ class FastronModel:
         # 1/2 a'Ka - (By)'a, using the maintained hypothesis F = Ka
         return 0.5 * float(self.alpha @ self.F) - float(by @ self.alpha)
 
-    def _removal_step(self) -> bool:
+    def remove_redundant(self) -> bool:
         """Remove the support point with the largest resultant margin.
 
         The resultant margin y_i(F_i - alpha_i) is what the margin at i
@@ -223,14 +219,8 @@ class FastronModel:
         col = self.gram.ensure_column(self.X, j)
         self.F -= self.alpha[j] * col
         self.alpha[j] = 0.0
+        self._sv = None
         return True
-
-    def remove_redundant(self) -> bool:
-        """One removal attempt; meaningful once all margins are positive."""
-        removed = self._removal_step()
-        if removed:
-            self._sv = None
-        return removed
 
     def train(self, record_loss: bool = False) -> TrainReport:
         """Run the update loop until positive margins, the support cap, or iter_max.
@@ -279,7 +269,7 @@ class FastronModel:
             # snapshot, then try to shed one redundant support point.
             alpha_before[:] = alpha
             F_before[:] = F
-            if self._removal_step():
+            if self.remove_redundant():
                 report.removals += 1
                 if record_loss:
                     report.loss_trace.append(self._trace_loss(by))

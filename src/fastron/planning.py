@@ -61,9 +61,6 @@ class PlanQuery:
 class MotionPlan:
     waypoints: list[np.ndarray] = field(default_factory=list)
     certified: bool = False
-    planner_time: float = 0.0
-    verify_time: float = 0.0
-    repair_time: float = 0.0
     iterations: int = 0
 
 

@@ -44,6 +44,18 @@ def fsum_hypothesis(X: np.ndarray, alpha: np.ndarray, gamma: float, q: np.ndarra
     return math.fsum(terms)
 
 
+def gaussian_kernel(x, y, gamma: float) -> float:
+    """Gaussian kernel ``exp(-gamma * ||x - y||^2)``, which rq_kernel bounds from above."""
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    diff = x - y
+    return math.exp(-gamma * float((diff * diff).sum()))
+
+
 # ----------------------------------------------------------------------
 # oriented-box separating axis theorem (Gottschalk's 15-axis test)
 

@@ -353,6 +353,44 @@ def test_cli_save_model_trains_each_seed_once(tmp_path, monkeypatch):
     assert saved.read_text() == (tmp_path / "expected.txt").read_text()
 
 
+def test_cli_seed_count_below_one_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}, "fastron": {"n0": 300}})
+    out = str(tmp_path / "o.csv")
+    for flags in (["--seeds", "0"], ["--seeds", "-2"], ["--seed-offset", "-1"]):
+        code = main(["static", "--config", cfg, "--out", out, "--save-model",
+                     str(tmp_path / "m.txt"), *flags])
+        assert code == 2
+        assert f"config error: {flags[0]}" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}, "seeds": []})
+    assert main(["static", "--config", cfg, "--out", out]) == 2
+
+
+def test_planning_eval_frees_each_model_before_the_next_trains(monkeypatch):
+    import weakref
+
+    import fastron.bench.runners as runners
+
+    models = []
+    train = runners._train_static_model
+
+    def tracked(cfg, seed, chain, label_fn):
+        assert all(ref() is None for ref in models), "an earlier seed's model is still alive"
+        result = train(cfg, seed, chain, label_fn)
+        models.append(weakref.ref(result[0]))
+        return result
+
+    monkeypatch.setattr(runners, "_train_static_model", tracked)
+    cfg = load_config({
+        "robot": {"type": "dof2"},
+        "obstacles": {"explicit": gap_obstacles()},
+        "fastron": {"gamma": 30.0, "beta": 100.0, "n0": 300},
+        "planner": {"max_iterations": 200},
+        "eval": dict(FAST_EVAL),
+    })
+    recs = run_planning_eval(cfg, [0, 1, 2])
+    assert len(models) == 3 and len(recs) == 6
+
+
 def test_cli_sweep_emits_summary(tmp_path):
     cfg = write_cfg(tmp_path, {
         "robot": {"type": "dof2"},

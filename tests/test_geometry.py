@@ -211,6 +211,27 @@ def test_label_fn_matches_kcd_label():
         assert label(p) == kcd_label(chain, ws, q)
 
 
+@pytest.mark.parametrize("make_chain", [two_dof_rod, four_dof_rod], ids=["dof2", "dof4"])
+def test_label_fn_and_from_input_space_feed_fk_the_same_joints(make_chain):
+    chain = make_chain()
+    fed = []
+    fk = chain.forward_kinematics
+
+    def recording_fk(q):
+        fed.append(np.array(q, dtype=np.float64))
+        return fk(q)
+
+    chain.forward_kinematics = recording_fk
+    label = make_label_fn(chain, Workspace([Box((0.5, 0.0, 0.2), (0.15, 0.15, 0.15))]))
+    P = np.random.default_rng(7).uniform(-1, 1, (1000, chain.dof))
+    P[:4] = np.sign(P[:4])  # points on the limits
+    for p in P:
+        label(p)
+    assert len(fed) == len(P)
+    mismatched = sum(from_input_space(p, chain).tobytes() != q.tobytes() for p, q in zip(P, fed))
+    assert mismatched == 0
+
+
 def test_in_collision_set_nonempty_iff_obstacle_reachable():
     chain = two_dof_rod(length=1.0, radius=0.05)
     rng = np.random.default_rng(7)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastron.kernels import LazyGramMatrix, gaussian_kernel, rq_kernel, rq_kernel_vector
+from fastron.kernels import LazyGramMatrix, rq_kernel, rq_kernel_vector
 
-from reference import eager_gram
+from reference import eager_gram, gaussian_kernel
 
 
 def test_rq_zero_distance_is_exactly_one():
