@@ -7,6 +7,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
+from ..model import TrainParams
+from ..planning import PlanQuery
+from ..sampling import SamplerParams
+
 __all__ = ["ConfigError", "ScenarioConfig", "load_config"]
 
 
@@ -41,23 +45,26 @@ class ObstacleConfig:
 
 @dataclass
 class FastronConfig:
+    # defaults and ranges are those of TrainParams and SamplerParams;
+    # n0 becomes SamplerParams.n_initial
     gamma: float | None = None  # None: robot-type default
-    beta: float = 1.0
-    iter_max: int = 5000
-    s_max: int = 1500
-    n0: int | None = None
-    a_max: int = 500
-    kappa: int = 4
-    sigma: float | None = None
+    beta: float = TrainParams.beta
+    iter_max: int = TrainParams.iter_max
+    s_max: int = TrainParams.s_max
+    n0: int | None = None  # None: robot-type default
+    a_max: int = SamplerParams.a_max
+    kappa: int = SamplerParams.kappa
+    sigma: float | None = SamplerParams.sigma
 
 
 @dataclass
 class PlannerConfig:
+    # the numeric defaults and ranges are those of PlanQuery
     algorithm: str = "rrt_connect"
-    step_size: float = 0.2
-    goal_bias: float = 0.05
-    edge_resolution: float = 0.05
-    max_iterations: int = 50000
+    step_size: float = PlanQuery.step_size
+    goal_bias: float = PlanQuery.goal_bias
+    edge_resolution: float = PlanQuery.edge_resolution
+    max_iterations: int = PlanQuery.max_iterations
     min_start_goal_dist: float = 0.8
 
 
@@ -88,6 +95,23 @@ class ScenarioConfig:
             return self.fastron.n0
         return _ROBOT_DEFAULTS[self.robot.type]["n0"]
 
+    # the one mapping from config fields to library parameter objects
+    def train_params(self) -> TrainParams:
+        fa = self.fastron
+        return TrainParams(gamma=self.resolved_gamma(), beta=fa.beta, iter_max=fa.iter_max,
+                           s_max=fa.s_max)
+
+    def sampler_params(self, seed: int) -> SamplerParams:
+        fa = self.fastron
+        return SamplerParams(a_max=fa.a_max, kappa=fa.kappa, sigma=fa.sigma, seed=seed,
+                             n_initial=self.resolved_n0())
+
+    def plan_query(self, start, goal, checker, seed: int) -> PlanQuery:
+        pl = self.planner
+        return PlanQuery(start, goal, checker, edge_resolution=pl.edge_resolution,
+                         step_size=pl.step_size, goal_bias=pl.goal_bias,
+                         max_iterations=pl.max_iterations, seed=seed)
+
     def with_override(self, parameter: str, value: float) -> "ScenarioConfig":
         """Validated copy of the config with one sweep parameter replaced."""
         if parameter == "beta":
@@ -95,18 +119,15 @@ class ScenarioConfig:
         elif parameter == "gamma":
             sub = replace(self, fastron=replace(self.fastron, gamma=float(value)))
         elif parameter == "obstacle_count":
-            sub = replace(
-                self,
-                obstacles=replace(self.obstacles, count=int(value), randomize_count=False),
-            )
+            sub = replace(self, obstacles=replace(self.obstacles, count=int(value),
+                                                  randomize_count=False))
         else:
             raise ConfigError(f"unknown sweep parameter {parameter!r}")
         return _validate(sub)
 
 
 def _build(section_cls, data: dict, path: str):
-    fields = {f.name: f for f in section_cls.__dataclass_fields__.values()}
-    unknown = set(data) - set(fields)
+    unknown = set(data) - {f.name for f in fields(section_cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     try:
@@ -154,36 +175,26 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     ob = cfg.obstacles
     if ob.count < 0:
         raise ConfigError("obstacles.count must be >= 0")
+    if ob.count == 0 and ob.randomize_count and ob.explicit is None:
+        raise ConfigError("obstacles.count must be >= 1 when obstacles.randomize_count is true")
     if len(ob.size_range) != 2 or not 0 < ob.size_range[0] <= ob.size_range[1]:
         raise ConfigError("obstacles.size_range must be [lo, hi] with 0 < lo <= hi")
     if len(ob.placement_radius) != 2 or not 0 <= ob.placement_radius[0] <= ob.placement_radius[1]:
         raise ConfigError("obstacles.placement_radius must be [lo, hi] with 0 <= lo <= hi")
     if ob.motion_steps < 0 or ob.motion_speed < 0:
         raise ConfigError("obstacle motion fields must be non-negative")
-    fa = cfg.fastron
-    for name, val, low in (
-        ("beta", fa.beta, 1.0),
-        ("iter_max", fa.iter_max, 1),
-        ("s_max", fa.s_max, 1),
-        ("a_max", fa.a_max, 1),
-    ):
-        if val < low:
-            raise ConfigError(f"fastron.{name} must be >= {low}")
-    if fa.gamma is not None and fa.gamma <= 0:
-        raise ConfigError("fastron.gamma must be positive")
-    if fa.n0 is not None and fa.n0 < 1:
-        raise ConfigError("fastron.n0 must be >= 1")
-    if fa.kappa < 0:
-        raise ConfigError("fastron.kappa must be >= 0")
-    if fa.sigma is not None and fa.sigma <= 0:
-        raise ConfigError("fastron.sigma must be positive")
+    # the library classes own the numeric ranges of these two sections
+    for section, build in (("fastron", lambda: (cfg.train_params(), cfg.sampler_params(0))),
+                           ("planner", lambda: cfg.plan_query((), (), None, 0))):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     pl = cfg.planner
     if pl.algorithm not in ("rrt", "rrt_connect"):
         raise ConfigError("planner.algorithm must be 'rrt' or 'rrt_connect'")
-    if pl.step_size <= 0 or pl.edge_resolution <= 0 or pl.max_iterations < 1:
-        raise ConfigError("planner numeric fields must be positive")
-    if not 0 <= pl.goal_bias <= 1:
-        raise ConfigError("planner.goal_bias must be in [0, 1]")
+    if pl.min_start_goal_dist < 0:
+        raise ConfigError("planner.min_start_goal_dist must be >= 0")
     ev = cfg.eval
     if ev.holdout < 1 or ev.timing_calls < 1 or ev.timing_batch < 1:
         raise ConfigError("eval fields must be >= 1")

@@ -7,9 +7,9 @@ from time import perf_counter
 import numpy as np
 
 from ..geometry import make_label_fn
-from ..model import FastronModel, TrainParams
+from ..model import FastronModel
 from ..planning import PlanQuery, rrt_connect_plan, rrt_plan, repair_plan, verify_plan
-from ..sampling import SamplerParams, update_cycle
+from ..sampling import update_cycle
 from .config import ScenarioConfig
 from .report import MetricsRecord
 from .scenarios import build_chain, build_workspace, random_start_goal
@@ -68,15 +68,6 @@ def median_call_time(fn, queries, calls: int, batch: int) -> float:
     return float(np.median(times))
 
 
-def _train_params(cfg: ScenarioConfig) -> TrainParams:
-    return TrainParams(
-        gamma=cfg.resolved_gamma(),
-        beta=cfg.fastron.beta,
-        iter_max=cfg.fastron.iter_max,
-        s_max=cfg.fastron.s_max,
-    )
-
-
 def _evaluate(model: FastronModel, label_fn, Q: np.ndarray):
     truth = np.fromiter((label_fn(q) for q in Q), dtype=np.int64, count=len(Q))
     pred = model.predict_batch(Q)
@@ -104,7 +95,7 @@ def _train_static_model(cfg: ScenarioConfig, seed: int, chain, label_fn):
     n0 = cfg.resolved_n0()
     rng = _rng(seed, _S_TRAIN)
     X = rng.uniform(-1.0, 1.0, (n0, chain.dof))
-    params = _train_params(cfg)
+    params = cfg.train_params()
     model = FastronModel(params, dim=chain.dof, capacity=params.s_max + cfg.fastron.a_max)
     t0 = perf_counter()
     y = np.fromiter((label_fn(x) for x in X), dtype=np.float64, count=n0)
@@ -187,16 +178,10 @@ def run_dynamic_eval(cfg: ScenarioConfig, seeds) -> list[MetricsRecord]:
     for seed in seeds:
         chain = build_chain(cfg)
         workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
-        params = _train_params(cfg)
+        params = cfg.train_params()
         model = FastronModel(params, dim=chain.dof,
                              capacity=params.s_max + cfg.fastron.a_max)
-        sampler = SamplerParams(
-            a_max=cfg.fastron.a_max,
-            kappa=cfg.fastron.kappa,
-            sigma=cfg.fastron.sigma,
-            seed=seed,
-            n_initial=cfg.resolved_n0(),
-        )
+        sampler = cfg.sampler_params(seed)
         holdout_rng = _rng(seed, _S_HOLDOUT)
         for step in range(cfg.obstacles.motion_steps):
             if step > 0:
@@ -240,17 +225,10 @@ def _timed_pipeline(planner, query: PlanQuery, oracle_free, cert_resolution: flo
     repair_time = 0.0
     if invalid:
         t0 = perf_counter()
-        plan = repair_plan(
-            plan,
-            invalid,
-            oracle_free,
-            planner=planner,
-            edge_resolution=cert_resolution,
-            step_size=query.step_size,
-            goal_bias=query.goal_bias,
-            max_iterations=query.max_iterations,
-            seed=query.seed + 7919,
-        )
+        plan = repair_plan(plan, invalid, oracle_free, planner=planner,
+                           edge_resolution=cert_resolution, step_size=query.step_size,
+                           goal_bias=query.goal_bias, max_iterations=query.max_iterations,
+                           seed=query.seed + 7919)
         repair_time = perf_counter() - t0
     else:
         plan.certified = True
@@ -283,16 +261,7 @@ def _plan_seed(cfg: ScenarioConfig, seed: int, records: list, details: list | No
         return
     start, goal = pair
     for route, checker in (("proxy", proxy_free), ("oracle", oracle_free)):
-        query = PlanQuery(
-            start,
-            goal,
-            checker,
-            edge_resolution=pl.edge_resolution,
-            step_size=pl.step_size,
-            goal_bias=pl.goal_bias,
-            max_iterations=pl.max_iterations,
-            seed=_rng(seed, _S_PLAN).integers(0, 2**31),
-        )
+        query = cfg.plan_query(start, goal, checker, seed=_rng(seed, _S_PLAN).integers(0, 2**31))
         plan, plan_time, verify_time, repair_time = _timed_pipeline(
             _PLANNERS[pl.algorithm], query, oracle_free, pl.edge_resolution / 2.0
         )

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..geometry import Box, KinematicChain, Workspace, from_input_space
+from ..geometry import Box, KinematicChain, Workspace, four_dof_rod, from_input_space, two_dof_rod
 from .config import ScenarioConfig
 
 __all__ = ["build_chain", "build_workspace", "random_start_goal", "gap_obstacles"]
@@ -15,12 +15,10 @@ __all__ = ["build_chain", "build_workspace", "random_start_goal", "gap_obstacles
 def build_chain(cfg: ScenarioConfig) -> KinematicChain:
     r = cfg.robot
     if r.type == "dof2":
-        rods = [(1.0, 0.05)]
-    elif r.type == "dof4":
-        rods = [(0.5, 0.05), (0.5, 0.05)]
-    else:
-        rods = [(l, rad) for l, rad in r.rods]
-    return KinematicChain(rods, link_shape=r.link_shape)
+        return two_dof_rod(link_shape=r.link_shape)
+    if r.type == "dof4":
+        return four_dof_rod(link_shape=r.link_shape)
+    return KinematicChain([(l, rad) for l, rad in r.rods], link_shape=r.link_shape)
 
 
 def _explicit_body(spec: dict) -> Box:

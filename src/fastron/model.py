@@ -22,11 +22,11 @@ threads for predict/hypothesis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_float, check_int
 from .kernels import LazyGramMatrix
 
 __all__ = ["DuplicatePointError", "TrainParams", "TrainReport", "FastronModel"]
@@ -46,14 +46,10 @@ class TrainParams:
     s_max: int = 1500
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
-        if not (math.isfinite(self.beta) and self.beta >= 1.0):
-            raise ValueError(f"beta must be finite and >= 1, got {self.beta!r}")
-        if self.iter_max < 1:
-            raise ValueError("iter_max must be >= 1")
-        if self.s_max < 1:
-            raise ValueError("s_max must be >= 1")
+        check_float("gamma", self.gamma, 0.0, strict=True)
+        check_float("beta", self.beta, 1.0)
+        check_int("iter_max", self.iter_max, 1)
+        check_int("s_max", self.s_max, 1)
 
 
 @dataclass

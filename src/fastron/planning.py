@@ -22,6 +22,9 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import check_float, check_int
+from .kernels import _squared_distance
+
 __all__ = [
     "PlanQuery",
     "MotionPlan",
@@ -33,6 +36,12 @@ __all__ = [
 ]
 
 CheckerFn = Callable[[np.ndarray], bool]
+
+
+def _check_positive(name: str, value) -> None:
+    # one rule for step sizes and edge resolutions: an infinite resolution
+    # would reduce an edge check to its endpoints
+    check_float(name, value, 0.0, strict=True)
 
 
 @dataclass
@@ -49,12 +58,11 @@ class PlanQuery:
     def __post_init__(self):
         self.start = np.asarray(self.start, dtype=np.float64)
         self.goal = np.asarray(self.goal, dtype=np.float64)
-        if self.edge_resolution <= 0.0:
-            raise ValueError("edge_resolution must be positive")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
-        if not 0.0 <= self.goal_bias <= 1.0:
-            raise ValueError("goal_bias must be in [0, 1]")
+        _check_positive("edge_resolution", self.edge_resolution)
+        _check_positive("step_size", self.step_size)
+        check_float("goal_bias", self.goal_bias, 0.0, 1.0)
+        check_int("max_iterations", self.max_iterations, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -69,8 +77,7 @@ def edge_valid(a, b, checker: CheckerFn, resolution: float) -> bool:
 
     Endpoints included. ``a == b`` reduces to a point check.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    _check_positive("resolution", resolution)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     dist = float(np.linalg.norm(b - a))
@@ -93,8 +100,7 @@ class _Tree:
         self.n = 1
 
     def nearest(self, target: np.ndarray) -> int:
-        diff = self.pts[: self.n] - target
-        return int(np.argmin((diff * diff).sum(axis=1)))
+        return int(np.argmin(_squared_distance(self.pts[: self.n], target)))
 
     def add(self, point: np.ndarray, parent: int) -> int:
         self.pts[self.n] = point
@@ -238,11 +244,11 @@ def repair_plan(
     oracle: CheckerFn,
     *,
     planner=rrt_connect_plan,
-    edge_resolution: float = 0.05,
-    step_size: float = 0.2,
-    goal_bias: float = 0.05,
-    max_iterations: int = 50000,
-    seed: int = 0,
+    edge_resolution: float = PlanQuery.edge_resolution,
+    step_size: float = PlanQuery.step_size,
+    goal_bias: float = PlanQuery.goal_bias,
+    max_iterations: int = PlanQuery.max_iterations,
+    seed: int = PlanQuery.seed,
 ) -> MotionPlan | None:
     """Excise invalid segments and bridge them with oracle-checked plans.
 
@@ -256,14 +262,8 @@ def repair_plan(
     windows = _excision_windows(invalid, len(wps))
 
     def _query(a, b, k):
-        return PlanQuery(
-            a, b, oracle,
-            edge_resolution=edge_resolution,
-            step_size=step_size,
-            goal_bias=goal_bias,
-            max_iterations=max_iterations,
-            seed=seed + k,
-        )
+        return PlanQuery(a, b, oracle, edge_resolution=edge_resolution, step_size=step_size,
+                         goal_bias=goal_bias, max_iterations=max_iterations, seed=seed + k)
 
     new_wps: list[np.ndarray] = []
     cursor = 0

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import check_float, check_int
 from .model import FastronModel, TrainReport
 
 __all__ = ["SamplerParams", "resolved_sigma", "generate_active_set", "update_cycle"]
@@ -40,14 +41,12 @@ class SamplerParams:
     n_initial: int = 2000
 
     def __post_init__(self):
-        if self.a_max < 1:
-            raise ValueError("a_max must be >= 1")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.n_initial < 1:
-            raise ValueError("n_initial must be >= 1")
+        check_int("a_max", self.a_max, 1)
+        check_int("kappa", self.kappa, 0)
+        if self.sigma is not None:
+            check_float("sigma", self.sigma, 0.0, strict=True)
+        check_int("seed", self.seed, 0)
+        check_int("n_initial", self.n_initial, 1)
 
 
 def resolved_sigma(params: SamplerParams, gamma: float) -> float:

@@ -89,6 +89,32 @@ def test_sweep_override_rejects_non_finite():
         load_config({}).with_override("beta", float("nan"))
 
 
+@pytest.mark.parametrize("section, key, value, field", [
+    ("fastron", "iter_max", 0, "iter_max"),
+    ("fastron", "n0", 0, "n_initial"),
+    ("fastron", "kappa", -1, "kappa"),
+    ("planner", "edge_resolution", 0.0, "edge_resolution"),
+    ("planner", "max_iterations", 0, "max_iterations"),
+    ("planner", "goal_bias", 1.5, "goal_bias"),
+])
+def test_library_ranges_reject_config_values_by_section(section, key, value, field):
+    with pytest.raises(ConfigError, match=f"{section}: {field}"):
+        load_config({section: {key: value}})
+
+
+def test_config_defaults_are_the_library_defaults():
+    from fastron.model import TrainParams
+    from fastron.planning import PlanQuery
+    from fastron.sampling import SamplerParams
+
+    cfg = load_config({})
+    assert cfg.train_params() == TrainParams()
+    assert cfg.sampler_params(seed=0) == SamplerParams()
+    q, ref = cfg.plan_query((), (), None, seed=0), PlanQuery((), (), None)
+    for f in ("edge_resolution", "step_size", "goal_bias", "max_iterations", "seed"):
+        assert getattr(q, f) == getattr(ref, f)
+
+
 def test_robot_type_defaults():
     cfg2 = load_config({"robot": {"type": "dof2"}})
     cfg4 = load_config({"robot": {"type": "dof4"}})
@@ -363,6 +389,23 @@ def test_cli_seed_count_below_one_exit_2(tmp_path, capsys):
         assert f"config error: {flags[0]}" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}, "seeds": []})
     assert main(["static", "--config", cfg, "--out", out]) == 2
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    # draws 1..0 obstacles: used to die mid-run with "low >= high", exit 4
+    ("static", "obstacles", "count", 0),
+    # used to pass validation and act as 0
+    ("plan", "planner", "min_start_goal_dist", -0.5),
+])
+def test_cli_values_that_reached_the_run_unchecked_exit_2(tmp_path, capsys,
+                                                          command, section, key, value):
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}, "fastron": {"n0": 300},
+                               "planner": {"max_iterations": 200},
+                               "eval": {"holdout": 100, "timing_calls": 100},
+                               section: {key: value}})
+    out = str(tmp_path / "o.csv")
+    assert main([command, "--config", cfg, "--out", out, "--seeds", "1"]) == 2
+    assert f"config error: {section}.{key}" in capsys.readouterr().err
 
 
 def test_planning_eval_frees_each_model_before_the_next_trains(monkeypatch):

@@ -217,6 +217,9 @@ def test_train_report_invariant_unbounded_runs():
     ({"beta": float("inf")}, "beta"),
     ({"gamma": 0.0}, "gamma"),
     ({"beta": 0.5}, "beta"),
+    ({"iter_max": 2.5}, "iter_max"),
+    ({"iter_max": 0}, "iter_max"),
+    ({"s_max": float("nan")}, "s_max"),
 ])
 def test_train_params_reject_non_finite_and_out_of_range(kw, field):
     with pytest.raises(ValueError, match=field):

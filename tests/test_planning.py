@@ -80,6 +80,30 @@ def test_edge_valid_requires_positive_resolution():
         edge_valid([0.0], [1.0], all_free, 0.0)
 
 
+def test_edge_valid_rejects_infinite_resolution():
+    # an infinite resolution would check the endpoints only
+    with pytest.raises(ValueError, match="resolution"):
+        edge_valid([-0.5, 0.0], [0.5, 0.0], Disc([0.0, 0.0], 0.1), float("inf"))
+
+
+@pytest.mark.parametrize("kw, field", [
+    ({"max_iterations": 0}, "max_iterations"),
+    ({"max_iterations": 10.5}, "max_iterations"),
+    ({"edge_resolution": float("inf")}, "edge_resolution"),
+    ({"step_size": float("nan")}, "step_size"),
+    ({"goal_bias": 1.5}, "goal_bias"),
+    ({"seed": -1}, "seed"),
+])
+def test_plan_query_rejects_non_finite_and_out_of_range(kw, field):
+    with pytest.raises(ValueError, match=field):
+        PlanQuery(np.zeros(2), np.ones(2), all_free, **kw)
+
+
+def test_plan_query_accepts_numpy_integer_seed():
+    q = PlanQuery(np.zeros(2), np.ones(2), all_free, seed=np.int64(7), max_iterations=np.int32(9))
+    assert q.seed == 7 and q.max_iterations == 9
+
+
 # ----------------------------------------------------------------------
 # planners
 

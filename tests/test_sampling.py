@@ -15,6 +15,20 @@ def test_sigma_derived_from_kernel_width():
     assert resolved_sigma(SamplerParams(sigma=0.2), 30.0) == 0.2
 
 
+@pytest.mark.parametrize("kw, field", [
+    ({"sigma": float("nan")}, "sigma"),
+    ({"sigma": 0.0}, "sigma"),
+    ({"a_max": 1.5}, "a_max"),
+    ({"a_max": 0}, "a_max"),
+    ({"kappa": -1}, "kappa"),
+    ({"seed": -1}, "seed"),
+    ({"n_initial": 0}, "n_initial"),
+])
+def test_sampler_params_reject_non_finite_and_out_of_range(kw, field):
+    with pytest.raises(ValueError, match=field):
+        SamplerParams(**kw)
+
+
 def test_kappa_zero_is_all_uniform():
     p = SamplerParams(a_max=100, kappa=0, sigma=0.1)
     support = np.array([[0.0, 0.0]])
