@@ -13,6 +13,13 @@ also equal numpy's ``(diff * diff).sum()``, whose pairwise sum is
 sequential below 8 elements; from d = 8 on numpy unrolls its sum by 8 and
 the two differ in the last bits.
 
+A LazyGramMatrix stores Gram column j in buffer row j: K is symmetric, so
+a column fill is one contiguous write and the training loop reads its
+column contiguously. ``matrix`` is therefore the transposed view of the
+buffer. A product that must keep the bits of a row-major matrix
+multiplies a C-contiguous block (``np.ascontiguousarray``), not that
+view: BLAS sums a transposed operand in another order.
+
 Kernel functions are pure and thread-safe. A LazyGramMatrix is
 single-writer: it may move between threads but must not be mutated
 concurrently.
@@ -89,6 +96,9 @@ class LazyGramMatrix:
 
     Entries hold rq_kernel values; a column is valid only once its
     computed flag is set. The diagonal of a computed column is exactly 1.
+    Column j lives in buffer row j, so :meth:`ensure_column` returns a
+    contiguous row and :attr:`matrix` is the transposed view of the
+    buffer's live block.
     """
 
     def __init__(self, gamma: float, capacity: int = 0):
@@ -121,8 +131,8 @@ class LazyGramMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """View of the live n-by-n block. Only computed columns are valid."""
-        return self._buf[: self.n, : self.n]
+        """Transposed view of the live n-by-n block. Only computed columns are valid."""
+        return self._buf[: self.n, : self.n].T
 
     def column_computed(self, j: int) -> bool:
         return bool(self._computed[j])
@@ -135,7 +145,7 @@ class LazyGramMatrix:
         n = self.n
         if not 0 <= j < n:
             raise IndexError(f"column {j} out of range for {n} points")
-        col = self._buf[:n, j]
+        col = self._buf[j, :n]
         if self._computed[j]:
             return col
         col[:] = rq_kernel_vector(X[:n], X[j], self.gamma)
@@ -144,9 +154,16 @@ class LazyGramMatrix:
         return col
 
     def full(self, X: np.ndarray) -> np.ndarray:
-        """Ensure every column is computed and return the matrix view."""
-        for j in range(self.n):
-            self.ensure_column(X, j)
+        """Ensure every column is computed and return the matrix view.
+
+        One broadcast evaluation fills the whole block when any column is
+        missing; computed columns are rewritten with the same bits.
+        """
+        n = self.n
+        if not self._computed[:n].all():
+            self._buf[:n, :n] = rq_kernel_vector(X[:n, None, :], X[:n], self.gamma)
+            self._computed[:n] = True
+            self.kernel_evals += n * n
         return self.matrix
 
     def compact(self, keep: np.ndarray) -> None:
@@ -179,8 +196,9 @@ class LazyGramMatrix:
         if n_add:
             cols = np.flatnonzero(self._computed[:n_old])
             if cols.size:
-                block = rq_kernel_vector(X_new[:, None, :], X_old[cols], self.gamma)
-                self._buf[n_old:n, cols] = block
+                # one buffer row per computed column: the block K[n_old:, cols].T
+                block = rq_kernel_vector(X_old[cols][:, None, :], X_new, self.gamma)
+                self._buf[cols, n_old:n] = block
                 self.kernel_evals += n_add * cols.size
             self._computed[n_old:n] = False
         self.n = n

@@ -159,7 +159,8 @@ class FastronModel:
         n_old = self.n
         self.gram.complete_and_extend(self.X, A)
         if n_old:
-            F_new = self.gram.matrix[n_old:, :n_old] @ self.alpha
+            block = np.ascontiguousarray(self.gram.matrix[n_old:, :n_old])
+            F_new = block @ self.alpha
         else:
             F_new = np.zeros(A.shape[0], dtype=np.float64)
         self.X = combined
@@ -242,19 +243,22 @@ class FastronModel:
         by = self._target_vector()
         alpha_before = alpha.copy()
         F_before = F.copy()
+        yF = np.empty(n)  # margin and step buffers, reused by every pass
+        step = np.empty(n)
         if record_loss:
             report.loss_trace.append(self._trace_loss(by))
         for _ in range(p.iter_max):
             report.iterations_used += 1
-            yF = y * F
-            i = int(np.argmin(yF))  # ties resolve to the lowest index
+            np.multiply(y, F, out=yF)
+            i = int(yF.argmin())  # ties resolve to the lowest index
             blocked = False
             if yF[i] <= 0.0:
                 col = gram.ensure_column(X, i)
                 if alpha[i] != 0.0 or np.count_nonzero(alpha) < p.s_max:
                     delta = by[i] - F[i]
                     alpha[i] += delta
-                    F += delta * col
+                    np.multiply(col, delta, out=step)
+                    F += step
                     report.corrections += 1
                     if record_loss:
                         report.loss_trace.append(self._trace_loss(by))
@@ -335,10 +339,14 @@ class FastronModel:
         matrix product, and the scores are ``(1 / t^2) a``. Only one
         (block, |S|) buffer is live at a time. The summation order differs
         from :meth:`hypothesis`, so scores agree to rounding, not bitwise.
+        ``Q`` must be (m, d); ``block`` an integer >= 1.
         """
+        check_int("block", block, 1)
         Q = np.asarray(Q, dtype=np.float64)
+        Xs, a, c0, G, half_gamma = self._support()
+        if Q.ndim != 2 or (a.size and Q.shape[1] != Xs.shape[1]):
+            raise ValueError(f"dimension mismatch: expected {Xs.shape[1]}, got {Q.shape}")
         out = np.zeros(Q.shape[0], dtype=np.float64)
-        _, a, c0, G, half_gamma = self._support()
         if a.size == 0:
             return out
         for s in range(0, Q.shape[0], block):
@@ -367,7 +375,8 @@ class FastronModel:
         K = self.gram.full(self.X)
         by = self._target_vector()
         a = self.alpha
-        return float(0.5 * (a @ (K @ a)) - by @ a)
+        # K is symmetric and K.T is the C-contiguous buffer block
+        return float(0.5 * (a @ (K.T @ a)) - by @ a)
 
     def margins(self) -> np.ndarray:
         return self.y * self.F
@@ -427,7 +436,8 @@ class FastronModel:
         model.set_data(X, y)
         model.alpha = alpha
         if ns:
-            K = model.gram.full(model.X)
-            model.F = K @ alpha
+            # the full Gram keeps every support column computed, as training
+            # leaves it; K.T is the C-contiguous buffer block
+            model.F = model.gram.full(model.X).T @ alpha
         model._sv = None
         return model

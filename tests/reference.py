@@ -24,6 +24,57 @@ def eager_gram(X: np.ndarray, gamma: float) -> np.ndarray:
     return K
 
 
+def reference_train(X, y, gamma, beta, iter_max, s_max, alpha=None, F=None):
+    """Greedy training over the eager Gram matrix, as the model docstring states it.
+
+    Each pass corrects the worst margin ``y_i F_i`` (ties to the lowest
+    index) when it is <= 0, setting it to ``b_i`` (beta for y_i = +1, 1
+    for -1), unless that would add a support point beyond ``s_max``.
+    Otherwise the state is snapshotted and the support point with the
+    largest positive resultant margin ``y_i (F_i - alpha_i)`` is removed;
+    when none qualifies the run stops. A final state that misclassifies
+    more points than the snapshot is replaced by it. Starts from zero
+    weights unless ``alpha`` and ``F`` are given. Returns
+    ``(alpha, F, counts)`` with the ``TrainReport`` counters.
+    """
+    K = eager_gram(X, gamma)
+    n = len(X)
+    alpha = np.zeros(n) if alpha is None else np.array(alpha, dtype=float)
+    F = np.zeros(n) if F is None else np.array(F, dtype=float)
+    target = np.where(y > 0.0, beta, 1.0) * y
+    counts = dict(iterations_used=0, corrections=0, removals=0, reverted=False,
+                  cap_blocked=False)
+    snap = (alpha.copy(), F.copy())
+    for _ in range(iter_max):
+        counts["iterations_used"] += 1
+        margins = y * F
+        i = int(np.argmin(margins))
+        blocked = False
+        if margins[i] <= 0.0:
+            if alpha[i] != 0.0 or np.count_nonzero(alpha) < s_max:
+                delta = target[i] - F[i]
+                alpha[i] += delta
+                F = F + delta * K[:, i]
+                counts["corrections"] += 1
+                continue
+            blocked = True
+        snap = (alpha.copy(), F.copy())
+        resultant = np.where(alpha != 0.0, y * (F - alpha), -np.inf)
+        j = int(np.argmax(resultant))
+        if resultant[j] > 0.0:
+            F = F - alpha[j] * K[:, j]
+            alpha[j] = 0.0
+            counts["removals"] += 1
+            continue
+        counts["cap_blocked"] = blocked
+        break
+    if np.sum(y * snap[1] <= 0.0) < np.sum(y * F <= 0.0):
+        alpha, F = snap
+        counts["reverted"] = True
+    counts["final_misclassified"] = int(np.sum(y * F <= 0.0))
+    return alpha, F, counts
+
+
 def gram_via_cdist(X: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix through scipy's pairwise distances; fast oracle for solves."""
     from scipy.spatial.distance import cdist

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fastron.kernels import LazyGramMatrix
+from fastron.model import FastronModel, TrainParams
 
 from reference import eager_gram
 
@@ -125,3 +126,56 @@ def test_compact_preserves_exactness(points):
     g.compact(keep)
     np.testing.assert_array_equal(g.matrix, eager_gram(points[:20][keep], 30.0))
     assert all(g.column_computed(j) for j in range(5))
+
+
+# ----------------------------------------------------------------------
+# storage layout: column j lives in buffer row j
+
+
+def assert_computed_columns_exact(g, X):
+    K = eager_gram(X[: g.n], g.gamma)
+    for j in range(g.n):
+        if g.column_computed(j):
+            np.testing.assert_array_equal(g.matrix[:, j], K[:, j])
+
+
+def test_ensure_column_is_a_contiguous_view_of_matrix_column(points):
+    g = LazyGramMatrix(30.0)
+    g.reset(len(points))
+    for j in (0, 17, len(points) - 1):
+        col = g.ensure_column(points, j)
+        assert col.flags.c_contiguous
+        assert np.shares_memory(col, g.matrix[:, j])
+        np.testing.assert_array_equal(col, g.matrix[:, j])
+
+
+def test_matrix_exact_through_fills_extend_compact_and_growth(points):
+    g = LazyGramMatrix(30.0, capacity=24)
+    g.reset(20)
+    for j in (0, 4, 5, 13, 19):
+        g.ensure_column(points[:20], j)
+    assert_computed_columns_exact(g, points)
+    g.compact(np.array([0, 2, 4, 5, 9, 13, 19]))
+    X = points[[0, 2, 4, 5, 9, 13, 19]]
+    assert_computed_columns_exact(g, X)
+    g.complete_and_extend(X, points[20:50])  # 37 points: past the 24 reserved
+    assert g.reallocs == 1
+    X = np.vstack([X, points[20:50]])
+    assert_computed_columns_exact(g, X)
+    np.testing.assert_array_equal(g.full(X), eager_gram(X, 30.0))
+
+
+def test_append_points_multiplies_a_row_major_block():
+    # BLAS sums a transposed operand in another order, so a product over
+    # the matrix view would differ in the last bits
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, (400, 3))
+    m = FastronModel(TrainParams(gamma=10.0), dim=3)
+    m.set_data(X[:300], np.ones(300))
+    m.alpha = rng.normal(size=300)
+    m.gram.full(m.X)  # every support point's column is computed
+    n_old = m.n
+    m.append_points(X[300:], np.ones(100))
+    K = eager_gram(X, 10.0)
+    expected = np.ascontiguousarray(K[n_old:, :n_old]) @ m.alpha[:n_old]
+    np.testing.assert_array_equal(m.F[n_old:], expected)

@@ -79,6 +79,24 @@ def test_hypothesis_dimension_mismatch():
         m.hypothesis(np.zeros(3))
 
 
+@pytest.mark.parametrize("Q", [np.zeros(2), np.zeros((4, 3)), np.zeros((2, 2, 2))])
+def test_batch_dimension_mismatch(Q):
+    m = make_model([[0.3, -0.4], [0.1, 0.2]], [1, -1])
+    m.train()
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2"):
+        m.hypothesis_batch(Q)
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2"):
+        m.predict_batch(Q)
+
+
+@pytest.mark.parametrize("block", [0, -1, 2.5])
+def test_batch_rejects_block_below_one(block):
+    m = make_model([[0.3, -0.4]], [1])
+    m.train()
+    with pytest.raises(ValueError, match="block"):
+        m.hypothesis_batch(np.zeros((3, 2)), block=block)
+
+
 def test_far_query_tail_bound():
     # the kernel tail at gamma=30 bounds the score of a distant query:
     # the farthest pair in [-1,1]^4 is 4 apart, kernel (1 + 15*16)^-2
@@ -395,6 +413,22 @@ def test_save_load_round_trip_exact(tmp_path):
     for q in queries:
         assert m2.predict(q) == m.predict(q)
         assert m2.hypothesis(q) == m.hypothesis(q)  # bitwise
+
+
+def test_load_builds_F_bitwise_from_the_eager_gram(tmp_path):
+    rng = np.random.default_rng(10)
+    m = make_model(rng.uniform(-1, 1, (150, 4)), np.where(rng.random(150) < 0.5, 1.0, -1.0))
+    m.train()
+    m.sparsify()
+    path = tmp_path / "model.txt"
+    m.save(path)
+    m2 = FastronModel.load(path)
+    np.testing.assert_array_equal(m2.F, eager_gram(m2.X, 30.0) @ m2.alpha)
+    # a loaded model scores appended points as the trained one does
+    n_old, A = m.n, rng.uniform(-1, 1, (20, 4))
+    m.append_points(A, np.ones(20))
+    m2.append_points(A, np.ones(20))
+    np.testing.assert_array_equal(m2.F[n_old:], m.F[n_old:])
 
 
 def test_load_rejects_malformed(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fastron.model import FastronModel, TrainParams
 
-from reference import eager_gram
+from reference import eager_gram, reference_train
 
 
 def make_model(X, y, **kw):
@@ -208,6 +210,47 @@ def test_train_report_invariant_unbounded_runs():
         rep = m.train()
         if rep.iterations_used < m.params.iter_max and not rep.reverted and not rep.cap_blocked:
             assert rep.final_misclassified == 0
+
+
+REPORT_COUNTS = ("iterations_used", "corrections", "removals", "final_misclassified",
+                 "reverted", "cap_blocked")
+
+
+def assert_matches_reference(m, rep, alpha, F, counts):
+    np.testing.assert_array_equal(m.alpha, alpha)
+    np.testing.assert_array_equal(m.F, F)
+    assert {k: getattr(rep, k) for k in REPORT_COUNTS} == counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    n=st.integers(1, 50),
+    beta=st.sampled_from([1.0, 3.0]),
+    gamma=st.sampled_from([3.0, 30.0]),
+    s_max=st.integers(1, 40),
+    iter_max=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the warm run reverts after a removal; the cold run is cap-blocked, the warm one reverts
+@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=8, iter_max=25, seed=1)
+@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=8, iter_max=25, seed=19)
+def test_train_matches_reference_loop_bitwise(d, n, beta, gamma, s_max, iter_max, seed):
+    # a small s_max makes the cap block, a small iter_max truncates; the
+    # second run warm-starts after relabelling, as an update cycle does,
+    # and may meet y_i alpha_i < 0
+    rng = np.random.default_rng(seed)
+    X, y = random_dataset(rng, n, d)
+    kw = dict(gamma=gamma, beta=beta, s_max=s_max, iter_max=iter_max)
+    m = make_model(X, y, **kw)
+    rep = m.train()
+    alpha, F, counts = reference_train(X, y, gamma, beta, iter_max, s_max)
+    assert_matches_reference(m, rep, alpha, F, counts)
+    y2 = np.where(rng.random(n) < 0.3, -y, y)
+    m.set_labels(y2)
+    rep = m.train()
+    alpha, F, counts = reference_train(X, y2, gamma, beta, iter_max, s_max, alpha, F)
+    assert_matches_reference(m, rep, alpha, F, counts)
 
 
 @pytest.mark.parametrize("kw, field", [
