@@ -94,7 +94,7 @@ class FastronModel:
     def _validate_points(self, X: np.ndarray) -> None:
         if X.ndim != 2:
             raise ValueError("points must be a 2-D array")
-        if self.dim is not None and X.shape[0] and X.shape[1] != self.dim:
+        if self.dim is not None and X.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {X.shape[1]}")
         if X.size and not np.abs(X).max() <= 1.0:  # NaN fails too
             raise ValueError("coordinates must be finite and lie in [-1, 1]")
@@ -289,18 +289,22 @@ class FastronModel:
     # prediction
 
     def _support(self):
-        # cached query-path arrays: with c0_i = 1 + gamma/2 * |x_i|^2 and
-        # G = -gamma * Xs, a query needs one matrix-vector product and a
-        # few in-place vector ops:
-        # t_i = 1 + gamma/2 * |x_i - q|^2 = c0_i + (G q)_i + gamma/2 * |q|^2
+        # cached query arrays (a, W): the support weights and, with
+        # c0_i = 1 + gamma/2 |x_i|^2, the C-contiguous (|S|, d+2) matrix
+        # W = [-gamma X_S | c0 | gamma/2]. For v = [q, 1, |q|^2],
+        # (W v)_i = 1 + gamma/2 |x_i - q|^2, so a query is one product plus
+        # an in-place square, reciprocal and weighted sum
         sv = self._sv
         if sv is None:
             mask = self.alpha != 0.0
-            Xs = np.ascontiguousarray(self.X[mask])
-            a = self.alpha[mask]
+            Xs = self.X[mask]
+            d = Xs.shape[1]
             gamma = self.params.gamma
-            c0 = 1.0 + 0.5 * gamma * np.einsum("ij,ij->i", Xs, Xs)
-            sv = self._sv = (Xs, a, c0, -gamma * Xs, 0.5 * gamma)
+            W = np.empty((Xs.shape[0], d + 2), dtype=np.float64)
+            np.multiply(Xs, -gamma, out=W[:, :d])
+            W[:, d] = 1.0 + 0.5 * gamma * np.einsum("ij,ij->i", Xs, Xs)
+            W[:, d + 1] = 0.5 * gamma
+            sv = self._sv = (self.alpha[mask], W)
         return sv
 
     def hypothesis(self, q) -> float:
@@ -309,54 +313,67 @@ class FastronModel:
         Summed over the support set only, so sparsify never changes it.
         This is the query hot path; it stays allocation-light.
         """
-        Xs, a, c0, G, half_gamma = self._support()
-        if a.size == 0:
-            return 0.0
+        a, W = self._support()
         if not isinstance(q, np.ndarray) or q.dtype != np.float64:
             q = np.asarray(q, dtype=np.float64)
-        if q.ndim != 1 or q.shape[0] != Xs.shape[1]:
-            raise ValueError(f"dimension mismatch: expected {Xs.shape[1]}, got {q.shape}")
-        t = G @ q
-        t += c0
-        t += half_gamma * float(q @ q)
+        if q.ndim != 1 or q.shape[0] != self.dim:
+            if self.dim is None:  # no data yet, so no dimension to check
+                return 0.0
+            raise ValueError(f"dimension mismatch: expected {self.dim}, got {q.shape}")
+        v = q.tolist()
+        qq = 0.0
+        for c in v:
+            qq += c * c
+        v.append(1.0)
+        v.append(qq)
+        t = W.dot(v)
         t *= t
-        np.divide(a, t, out=t)
-        return float(np.add.reduce(t))
+        np.reciprocal(t, out=t)
+        return float(a.dot(t))
 
     def predict(self, q) -> int:
         """Proxy collision label: +1 in collision, -1 free.
 
         A zero score (including the empty model) counts as in-collision;
-        the conservative answer costs a detour, not a crash.
+        the conservative answer costs a detour, not a crash. So does a
+        query with a NaN or infinite coordinate, whose score is NaN or 0.
         """
         return -1 if self.hypothesis(q) < 0.0 else 1
 
     def hypothesis_batch(self, Q, block: int = 1024) -> np.ndarray:
         """Scores for many queries at once, ``block`` queries per product.
 
-        Uses the expanded form of :meth:`hypothesis` over the same cached
-        support arrays: per block, ``t = Q G' + c0 + gamma/2 |q|^2`` is one
-        matrix product, and the scores are ``(1 / t^2) a``. Only one
-        (block, |S|) buffer is live at a time. The summation order differs
-        from :meth:`hypothesis`, so scores agree to rounding, not bitwise.
-        ``Q`` must be (m, d); ``block`` an integer >= 1.
+        Uses the cached ``W`` of :meth:`hypothesis`: per block, the rows
+        ``[q, 1, |q|^2]`` stack into V, ``t = V W'`` is one matrix product,
+        and the scores are ``(1 / t^2) a``. Only one (block, |S|) buffer is
+        live. The summation order differs from :meth:`hypothesis`, so
+        scores agree in sign wherever they are clear of rounding, not
+        bitwise. ``Q`` must be (m, d); ``block`` an integer >= 1.
         """
         check_int("block", block, 1)
         Q = np.asarray(Q, dtype=np.float64)
-        Xs, a, c0, G, half_gamma = self._support()
-        if Q.ndim != 2 or (a.size and Q.shape[1] != Xs.shape[1]):
-            raise ValueError(f"dimension mismatch: expected {Xs.shape[1]}, got {Q.shape}")
-        out = np.zeros(Q.shape[0], dtype=np.float64)
-        if a.size == 0:
-            return out
-        for s in range(0, Q.shape[0], block):
+        a, W = self._support()
+        d = self.dim
+        if Q.ndim != 2 or Q.shape[1] != d:
+            if d is None and Q.ndim == 2:  # no data yet, so no dimension to check
+                return np.zeros(Q.shape[0], dtype=np.float64)
+            raise ValueError(f"dimension mismatch: expected {d}, got {Q.shape}")
+        m = Q.shape[0]
+        rows = min(block, m)
+        V = np.empty((rows, d + 2), dtype=np.float64)
+        V[:, d] = 1.0
+        T = np.empty((rows, a.size), dtype=np.float64)
+        out = np.empty(m, dtype=np.float64)
+        for s in range(0, m, block):
             chunk = Q[s : s + block]
-            t = chunk @ G.T
-            t += c0
-            t += half_gamma * np.einsum("ij,ij->i", chunk, chunk)[:, None]
+            k = chunk.shape[0]
+            Vk, t = V[:k], T[:k]
+            Vk[:, :d] = chunk
+            np.einsum("ij,ij->i", chunk, chunk, out=Vk[:, d + 1])
+            np.matmul(Vk, W.T, out=t)
             t *= t
-            np.divide(1.0, t, out=t)
-            out[s : s + chunk.shape[0]] = t @ a
+            np.reciprocal(t, out=t)
+            np.matmul(t, a, out=out[s : s + k])
         return out
 
     def predict_batch(self, Q, block: int = 1024) -> np.ndarray:

@@ -72,6 +72,25 @@ def test_hypothesis_zero_weights_is_zero():
     assert m.hypothesis(np.array([0.0, 0.0])) == 0.0
 
 
+@pytest.mark.parametrize("weights", ["no data", "all zero"])
+def test_models_without_support_check_query_dimension(weights):
+    m = FastronModel(TrainParams(gamma=30.0), dim=3)
+    if weights == "all zero":
+        m.set_data([[0.1, 0.2, 0.3], [-0.4, 0.5, -0.6]], [1, -1])
+    with pytest.raises(ValueError, match=r"dimension mismatch: expected 3, got \(5,\)"):
+        m.predict(np.zeros(5))
+    with pytest.raises(ValueError, match=r"dimension mismatch: expected 3, got \(2, 5\)"):
+        m.predict_batch(np.zeros((2, 5)))
+    assert m.predict(np.zeros(3)) == 1
+    assert np.array_equal(m.predict_batch(np.zeros((2, 3))), [1, 1])
+
+
+def test_empty_dataset_of_another_width_rejected():
+    m = FastronModel(TrainParams(gamma=30.0), dim=3)
+    with pytest.raises(ValueError, match="dimension mismatch: expected 3"):
+        m.set_data(np.zeros((0, 5)), [])
+
+
 def test_hypothesis_dimension_mismatch():
     m = make_model([[0.1, 0.1]], [1])
     m.train()
@@ -126,6 +145,46 @@ def test_predict_matches_fsum_oracle():
         assert m.predict(q) == (-1 if ref < 0 else 1)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_query_is_in_collision():
+    m = make_model([[0.0, 0.0, 0.0]], [-1])
+    m.train()
+    assert m.predict(np.zeros(3)) == -1
+    bad = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.5],
+                    [np.inf, -np.inf, np.nan]])
+    assert [m.predict(q) for q in bad] == [1, 1, 1, 1]
+    assert np.array_equal(m.predict_batch(bad), [1, 1, 1, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 7),
+    gamma=st.floats(1.0, 100.0),
+    n=st.integers(0, 300),
+    block=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=7, gamma=100.0, n=8, block=64, seed=0)  # corner support points, widest cancellation
+@example(d=1, gamma=1.0, n=1, block=1, seed=1)
+def test_scores_match_exact_expansion_property(d, gamma, n, block, seed):
+    # the cached form sums -gamma x_i.q + c0_i + gamma/2 |q|^2, which cancels
+    # down to 1 at a support point; both query paths must still track the exact sum
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (n, d))
+    X[: n // 4] = np.sign(X[: n // 4])  # support points at corners
+    X = np.unique(X, axis=0)
+    m = FastronModel(TrainParams(gamma=gamma), dim=d)
+    m.set_data(X, np.ones(len(X)))
+    m.alpha = rng.normal(size=len(X)) * (rng.random(len(X)) < 0.8)
+    corners = np.where(rng.random((8, d)) < 0.5, -1.0, 1.0)
+    Q = np.vstack([rng.uniform(-1, 1, (8, d)), X[:16], corners])
+    exact = np.array([fsum_hypothesis(m.X, m.alpha, gamma, q) for q in Q])
+    tol = 1e-12 * float(np.abs(m.alpha).sum()) + 1e-15
+    single = np.array([m.hypothesis(q) for q in Q])
+    assert np.all(np.abs(single - exact) <= tol)
+    assert np.all(np.abs(m.hypothesis_batch(Q, block=block) - exact) <= tol)
+
+
 def test_batch_prediction_matches_single():
     rng = np.random.default_rng(2)
     X = rng.uniform(-1, 1, (100, 3))
@@ -149,6 +208,8 @@ def test_batch_prediction_matches_single():
 @example(d=2, n=0, n_queries=5, block=2, seed=0)  # the empty model
 @example(d=4, n=200, n_queries=1, block=1024, seed=1)  # one query
 @example(d=3, n=150, n_queries=130, block=64, seed=2)  # ragged last block
+@example(d=1, n=40, n_queries=50, block=16, seed=3)
+@example(d=7, n=300, n_queries=100, block=32, seed=4)
 def test_batch_sign_agrees_with_single_property(d, n, n_queries, block, seed):
     # batch and single sum in different orders, so only scores clear of
     # rounding must agree in sign
