@@ -3,7 +3,7 @@
 from .config import ConfigError, ScenarioConfig, load_config
 from .report import COLUMNS, MetricsRecord, TIMING_COLUMNS, emit_report, parse_report
 from .runners import (
-    median_call_time,
+    median_call_times,
     run_dynamic_eval,
     run_planning_eval,
     run_static_eval,
@@ -24,7 +24,7 @@ __all__ = [
     "run_sweep",
     "run_dynamic_eval",
     "run_planning_eval",
-    "median_call_time",
+    "median_call_times",
     "build_chain",
     "build_workspace",
     "gap_obstacles",

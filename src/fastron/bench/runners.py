@@ -19,7 +19,7 @@ __all__ = [
     "run_sweep",
     "run_dynamic_eval",
     "run_planning_eval",
-    "median_call_time",
+    "median_call_times",
 ]
 
 # RNG stream tags: every consumer of randomness gets its own child stream,
@@ -45,27 +45,29 @@ class CountingLabeler:
         return self.fn(p)
 
 
-def median_call_time(fn, queries, calls: int, batch: int) -> float:
-    """Median per-call seconds over batches of at least ``batch`` calls.
+def median_call_times(fns, queries, calls: int, batch: int) -> list[float]:
+    """Median per-call seconds of each function, over batches of at least ``batch`` calls.
 
     Batching amortizes clock resolution and allocator noise; queries are
-    drawn before the clock starts.
+    drawn before the clock starts. The functions' batches take turns, so
+    host drift reaches every function alike and ratios of the medians hold.
     """
-    times = []
+    times = [[] for _ in fns]
     qn = len(queries)
-    qi = 0
     done = 0
     while done < calls:
         m = min(batch, calls - done)
-        t0 = perf_counter()
-        for _ in range(m):
-            fn(queries[qi])
-            qi += 1
-            if qi == qn:
-                qi = 0
-        times.append((perf_counter() - t0) / m)
+        for fn, fn_times in zip(fns, times):
+            qi = done % qn
+            t0 = perf_counter()
+            for _ in range(m):
+                fn(queries[qi])
+                qi += 1
+                if qi == qn:
+                    qi = 0
+            fn_times.append((perf_counter() - t0) / m)
         done += m
-    return float(np.median(times))
+    return [float(np.median(t)) for t in times]
 
 
 def _evaluate(model: FastronModel, label_fn, Q: np.ndarray):
@@ -133,11 +135,8 @@ def run_static_eval(cfg: ScenarioConfig, seeds, return_details: bool = False,
             timing_q = _rng(seed, _S_TIMING).uniform(-1.0, 1.0, (4096, chain.dof))
             queries = [np.ascontiguousarray(q) for q in timing_q]
             ev = cfg.eval
-            rec.query_time_proxy = median_call_time(
-                seed_model.predict, queries, ev.timing_calls, ev.timing_batch
-            )
-            rec.query_time_oracle = median_call_time(
-                label_fn, queries, ev.timing_calls, ev.timing_batch
+            rec.query_time_proxy, rec.query_time_oracle = median_call_times(
+                (seed_model.predict, label_fn), queries, ev.timing_calls, ev.timing_batch
             )
         records.append(rec)
         if return_details:

@@ -2,10 +2,10 @@
 
 This is the labeling oracle the proxy model is trained against, and the
 baseline the benchmarks time. A label query runs the entire cycle --
-joint-limit mapping, forward kinematics, then pairwise convex
-intersection tests -- with plain-float tuple arithmetic, because a query
-sits on the hot path of every benchmark and per-call numpy overhead
-would dominate at this scale.
+joint-limit mapping, forward kinematics (each yaw-pitch pair composed in
+closed form, in ``sum()`` order), then pairwise convex intersection
+tests -- in plain-float tuple arithmetic: a query sits on the hot path of
+every benchmark, where per-call numpy overhead would dominate.
 
 Chains and workspaces are immutable after construction; labeling is pure
 and safe to call concurrently.
@@ -40,12 +40,7 @@ _IDENTITY: Rot3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 # side) or falls back to the conservative in-collision answer (band)
 _GJK_TOL = 1e-10
 _LIMIT_TOL = 1e-9
-
-
-def rot_mul(a: Rot3, b: Rot3) -> Rot3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )  # type: ignore[return-value]
+_INPUT_BOUND = 1.0 + _LIMIT_TOL
 
 
 class Box:
@@ -251,18 +246,6 @@ def gjk_intersect(a, b, max_iter: int = 64) -> bool:
 # kinematics
 
 
-def _pair_rot(yaw: float, pitch: float) -> Rot3:
-    # yaw about world-frame z, then pitch raising the rod toward +z;
-    # the rod axis is the rotated +x
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    return (
-        (cy * cp, -sy, -cy * sp),
-        (sy * cp, cy, -sy * sp),
-        (sp, 0.0, cp),
-    )
-
-
 class KinematicChain:
     """Serial chain of yaw-pitch joint pairs, one rod link per pair.
 
@@ -299,27 +282,49 @@ class KinematicChain:
                 raise ValueError(f"joint {k} value {q[k]} outside limits")
 
     def joints_from_input(self, p) -> list[float]:
-        """The one input-space to joint mapping, in plain floats; clamps rounding spill."""
+        """The one input-space to joint mapping, in plain floats; clamps rounding
+        spill and rejects a point of the wrong length or outside [-1, 1]^d (or NaN)."""
+        if len(p) != self.dof:
+            raise ValueError(f"expected {self.dof} coordinates, got {len(p)}")
         q = []
-        for x, (lower, upper, span, usum) in zip(p, self._limits):
-            v = 0.5 * (float(x) * span + usum)
+        for x, (lower, upper, span, usum) in zip(map(float, p), self._limits):
+            if not -_INPUT_BOUND <= x <= _INPUT_BOUND:
+                raise ValueError(f"input-space coordinate {x} outside [-1, 1]")
+            v = 0.5 * (x * span + usum)
             q.append(lower if v < lower else upper if v > upper else v)
         return q
 
     def forward_kinematics(self, q) -> list:
-        """Pose every link in the world frame for joint vector ``q``."""
+        """Pose every link in the world frame for joint vector ``q``.
+
+        Each pair sets R <- R P(yaw, pitch): yaw about world z, then pitch
+        raising the rod, R's first column, toward +z. Entries sum left to
+        right from 0.0 as ``sum()`` does up to Python 3.11, bitwise equal to a
+        generic 3 x 3 product; the P[2][1] = 0 term is skipped, which is exact.
+        """
         self._check_limits(q)
         bodies = []
-        rot = _IDENTITY
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
         bx, by, bz = 0.0, 0.0, 0.0
         for i, (length, radius) in enumerate(self.rods):
-            rot = rot_mul(rot, _pair_rot(float(q[2 * i]), float(q[2 * i + 1])))
-            ax, ay, az = rot[0][0], rot[1][0], rot[2][0]  # rod axis = R . x_hat
-            tx, ty, tz = bx + length * ax, by + length * ay, bz + length * az
+            yaw, pitch = float(q[2 * i]), float(q[2 * i + 1])
+            cy, sy, cp, sp = math.cos(yaw), math.sin(yaw), math.cos(pitch), math.sin(pitch)
+            p00, p01, p02, p10, p12 = cy * cp, -sy, -cy * sp, sy * cp, -sy * sp
+            r00, r01, r02 = (0.0 + r00 * p00 + r01 * p10 + r02 * sp,
+                             0.0 + r00 * p01 + r01 * cy,
+                             0.0 + r00 * p02 + r01 * p12 + r02 * cp)
+            r10, r11, r12 = (0.0 + r10 * p00 + r11 * p10 + r12 * sp,
+                             0.0 + r10 * p01 + r11 * cy,
+                             0.0 + r10 * p02 + r11 * p12 + r12 * cp)
+            r20, r21, r22 = (0.0 + r20 * p00 + r21 * p10 + r22 * sp,
+                             0.0 + r20 * p01 + r21 * cy,
+                             0.0 + r20 * p02 + r21 * p12 + r22 * cp)
+            tx, ty, tz = bx + length * r00, by + length * r10, bz + length * r20
             if self.link_shape == "capsule":
                 bodies.append(Capsule((bx, by, bz), (tx, ty, tz), radius))
             else:
                 mid = ((bx + tx) * 0.5, (by + ty) * 0.5, (bz + tz) * 0.5)
+                rot = ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22))
                 bodies.append(Box(mid, (length * 0.5 + radius, radius, radius), rot))
             bx, by, bz = tx, ty, tz
         return bodies
@@ -352,12 +357,7 @@ def to_input_space(q, chain: KinematicChain) -> np.ndarray:
 
 def from_input_space(p, chain: KinematicChain) -> np.ndarray:
     """Inverse of :func:`to_input_space`; clips rounding spill at the limits."""
-    p = np.asarray(p, dtype=np.float64)
-    if len(p) != chain.dof:
-        raise ValueError(f"expected {chain.dof} coordinates, got {len(p)}")
-    if p.size and np.abs(p).max() > 1.0 + _LIMIT_TOL:
-        raise ValueError("input-space point outside [-1, 1]^d")
-    return np.array(chain.joints_from_input(p.tolist()), dtype=np.float64)
+    return np.array(chain.joints_from_input(p), dtype=np.float64)
 
 
 # ----------------------------------------------------------------------

@@ -215,3 +215,59 @@ def segment_box_distance(p0, p1, center, half, rot, samples: int = 256) -> float
     local = (pts - np.asarray(center)) @ np.asarray(rot, dtype=float)
     excess = np.maximum(np.abs(local) - np.asarray(half, dtype=float), 0.0)
     return float(np.sqrt((excess * excess).sum(axis=1)).min())
+
+
+# ----------------------------------------------------------------------
+# forward kinematics by generic rotation products
+
+
+def _dot_from_zero(terms) -> float:
+    # plain left-to-right addition from integer 0, which is what sum() does
+    # with floats up to Python 3.11 (3.12 compensates the rounding)
+    acc = 0
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def _rot_mul(a, b):
+    return tuple(
+        tuple(_dot_from_zero(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _pair_rot(yaw: float, pitch: float):
+    # yaw about world-frame z, then pitch raising the rod toward +z;
+    # the rod axis is the rotated +x
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    return (
+        (cy * cp, -sy, -cy * sp),
+        (sy * cp, cy, -sy * sp),
+        (sp, 0.0, cp),
+    )
+
+
+def reference_forward_kinematics(chain, q) -> list[tuple[float, ...]]:
+    """Link poses of a yaw-pitch chain through generic 3 x 3 products, as flat floats.
+
+    A capsule link gives ``p0 + p1 + (radius,)``, a box link
+    ``center + half + rot`` (rows in order), matching the slots of the
+    package's bodies. The chain supplies only its rods and link shape.
+    """
+    rot = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    bx, by, bz = 0.0, 0.0, 0.0
+    poses = []
+    for i, (length, radius) in enumerate(chain.rods):
+        rot = _rot_mul(rot, _pair_rot(float(q[2 * i]), float(q[2 * i + 1])))
+        ax, ay, az = rot[0][0], rot[1][0], rot[2][0]
+        tx, ty, tz = bx + length * ax, by + length * ay, bz + length * az
+        if chain.link_shape == "capsule":
+            poses.append((bx, by, bz, tx, ty, tz, radius))
+        else:
+            mid = ((bx + tx) * 0.5, (by + ty) * 0.5, (bz + tz) * 0.5)
+            half = (length * 0.5 + radius, radius, radius)
+            poses.append(mid + half + rot[0] + rot[1] + rot[2])
+        bx, by, bz = tx, ty, tz
+    return poses

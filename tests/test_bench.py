@@ -13,6 +13,7 @@ from fastron.bench.report import (
     parse_report,
 )
 from fastron.bench.runners import (
+    median_call_times,
     run_dynamic_eval,
     run_planning_eval,
     run_static_eval,
@@ -183,6 +184,18 @@ def test_sweep_summary_file(tmp_path):
 
 # ----------------------------------------------------------------------
 # runners (smoke scale)
+
+
+def test_median_call_times_alternate_batches_over_the_same_queries():
+    # each function sees the query sequence it would see timed alone, and
+    # the batches take turns, so host drift reaches both alike
+    log = []
+    fns = (lambda q: log.append(("a", q)), lambda q: log.append(("b", q)))
+    medians = median_call_times(fns, list(range(5)), 7, 3)
+    assert len(medians) == 2 and all(t >= 0.0 for t in medians)
+    assert [name for name, _ in log] == list("aaabbbaaabbbab")
+    for name in "ab":
+        assert [q for n, q in log if n == name] == [0, 1, 2, 3, 4, 0, 1]
 
 
 def test_static_eval_smoke():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fastron.geometry import (
     Box,
+    Capsule,
     KinematicChain,
     Workspace,
     from_input_space,
@@ -17,7 +19,7 @@ from fastron.geometry import (
     four_dof_rod,
 )
 
-from reference import segment_box_distance
+from reference import reference_forward_kinematics, segment_box_distance
 
 
 # ----------------------------------------------------------------------
@@ -47,6 +49,25 @@ def test_mapping_round_trip(p):
     p = np.array(p)
     q = from_input_space(p, chain)
     np.testing.assert_allclose(to_input_space(q, chain), p, atol=1e-12)
+
+
+@pytest.mark.parametrize("make_chain", [two_dof_rod, four_dof_rod], ids=["dof2", "dof4"])
+def test_input_mapping_rejects_bad_points(make_chain):
+    # a point of the wrong length or outside [-1, 1]^d fails where it
+    # enters, in the labeler as in from_input_space
+    chain = make_chain()
+    label = make_label_fn(chain, Workspace([Box((0.5, 0.0, 0.2), (0.15, 0.15, 0.15))]))
+    bad = [np.zeros(chain.dof + 2), np.zeros(chain.dof - 1), np.full(chain.dof, 3.0),
+           np.full(chain.dof, -1.0 - 1e-8), np.full(chain.dof, np.nan)]
+    for p in bad:
+        for fn in (label, chain.joints_from_input, lambda p: from_input_space(p, chain)):
+            with pytest.raises(ValueError):
+                fn(p)
+    # rounding spill within the tolerance is still clamped onto the limits
+    q = chain.joints_from_input(np.full(chain.dof, 1.0 + 1e-10))
+    assert q == chain.q_upper.tolist()
+    q = chain.joints_from_input(np.full(chain.dof, -1.0 - 1e-10))
+    assert q == chain.q_lower.tolist()
 
 
 def test_mapping_round_trip_4dof():
@@ -110,6 +131,35 @@ def test_fk_4dof_zeroed_distal_extends_straight():
         d1 = np.array(b1.p1) - np.array(b1.p0)
         d2 = np.array(b2.p1) - np.array(b2.p0)
         np.testing.assert_allclose(d1, d2, atol=1e-12)
+
+
+def _pose_hex(body) -> list[str]:
+    if isinstance(body, Capsule):
+        floats = body.p0 + body.p1 + (body.radius,)
+    else:
+        floats = body.center + body.half + body.rot[0] + body.rot[1] + body.rot[2]
+    return [x.hex() for x in floats]
+
+
+@pytest.mark.parametrize("shape", ["capsule", "box"])
+@pytest.mark.parametrize("make_chain", [two_dof_rod, four_dof_rod], ids=["dof2", "dof4"])
+def test_fk_bitwise_matches_generic_rotation_products(make_chain, shape):
+    # the closed-form pair product keeps every float of every pose,
+    # signed zeros included, against sum()-ordered 3 x 3 products
+    chain = make_chain(link_shape=shape)
+    rng = np.random.default_rng(8)
+    Q = list(rng.uniform(chain.q_lower, chain.q_upper, (10_000, chain.dof)))
+    # every limit corner and the quarter turns, each pair drawn
+    # independently, plus spill within the limit tolerance
+    pairs = itertools.product((-math.pi - 1e-10, -math.pi, -math.pi / 2, 0.0, math.pi / 2,
+                               math.pi, math.pi + 1e-10),
+                              (-1e-10, 0.0, math.pi / 2, math.pi, math.pi + 1e-10))
+    Q += [sum(c, ()) for c in itertools.product(list(pairs), repeat=chain.dof // 2)]
+    for q in Q:
+        want = [x.hex() for pose in reference_forward_kinematics(chain, q) for x in pose]
+        for arg in (q, [float(v) for v in q], np.asarray(q, dtype=np.float64)):
+            got = [h for body in chain.forward_kinematics(arg) for h in _pose_hex(body)]
+            assert got == want, q
 
 
 def test_fk_out_of_limits_rejected():

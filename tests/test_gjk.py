@@ -3,7 +3,7 @@ import pytest
 
 from fastron.geometry import Box, Capsule, gjk_intersect
 
-from reference import obb_sat_batch, random_rotation, segment_distance
+from reference import obb_sat_batch, random_rotation, segment_box_distance, segment_distance
 
 
 def test_identical_cubes_intersect():
@@ -106,3 +106,26 @@ def test_touching_counts_as_intersecting():
     a = Box((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
     b = Box((1.0, 0.0, 0.0), (0.5, 0.5, 0.5))  # faces exactly flush
     assert gjk_intersect(a, b) is True
+
+
+# link 1 of static-dof4 holdout point 6060 at benchmark seed 26, and obstacle 3
+_CLEAR_CAPSULE = Capsule((-0.44722171885716616, -0.0057565379832265244, 0.22351643441342178),
+                         (-0.33634986330205874, 0.22924536952776725, 0.6506950096158326), 0.05)
+_CLEAR_BOX = Box((-0.118520901524091, 0.007203098318091394, 0.6427883005852911),
+                 (0.17063728527357497,) * 3)
+
+
+def _clearance(capsule, box):
+    return segment_box_distance(capsule.p0, capsule.p1, box.center, box.half,
+                                box.rot) - capsule.radius
+
+
+def test_known_false_positive_case_is_clear():
+    assert _clearance(_CLEAR_CAPSULE, _CLEAR_BOX) > 0.01
+
+
+@pytest.mark.xfail(strict=True, reason="the simplex walk cycles without certifying "
+                                       "separation and the iteration cap answers True")
+def test_capsule_clear_of_box_is_separated():
+    assert _clearance(_CLEAR_CAPSULE, _CLEAR_BOX) > 0.01
+    assert gjk_intersect(_CLEAR_CAPSULE, _CLEAR_BOX) is False
