@@ -130,7 +130,7 @@ def run_static_eval(cfg: ScenarioConfig, seeds, return_details: bool = False,
             seed_model, _, rec.update_time = _train_static_model(cfg, seed, chain, label_fn)
         holdout = _rng(seed, _S_HOLDOUT).uniform(-1.0, 1.0, (cfg.eval.holdout, chain.dof))
         rec.accuracy, rec.tpr, rec.tnr = _evaluate(seed_model, label_fn, holdout)
-        rec.support_count = seed_model.n
+        rec.support_count = seed_model.support_count
         if model is None:
             timing_q = _rng(seed, _S_TIMING).uniform(-1.0, 1.0, (4096, chain.dof))
             queries = [np.ascontiguousarray(q) for q in timing_q]
@@ -189,7 +189,6 @@ def run_dynamic_eval(cfg: ScenarioConfig, seeds) -> list[MetricsRecord]:
             t0 = perf_counter()
             update_cycle(model, oracle, sampler)
             update_time = perf_counter() - t0
-            support = model.n - cfg.fastron.a_max  # pending active set is unlabeled
             holdout = holdout_rng.uniform(-1.0, 1.0, (cfg.eval.holdout, chain.dof))
             acc, tpr, tnr = _evaluate(model, oracle.fn, holdout)
             records.append(
@@ -200,7 +199,7 @@ def run_dynamic_eval(cfg: ScenarioConfig, seeds) -> list[MetricsRecord]:
                     accuracy=acc,
                     tpr=tpr,
                     tnr=tnr,
-                    support_count=support,
+                    support_count=model.support_count,
                     update_time=update_time,
                     oracle_calls=oracle.calls,
                 )
@@ -270,7 +269,7 @@ def _plan_seed(cfg: ScenarioConfig, seed: int, records: list, details: list | No
                 run="plan",
                 seed=seed,
                 route=route,
-                support_count=model.n if route == "proxy" else None,
+                support_count=model.support_count if route == "proxy" else None,
                 plan_time=plan_time,
                 verify_time=verify_time if plan is not None else None,
                 repair_time=repair_time if plan is not None else None,

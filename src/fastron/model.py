@@ -69,10 +69,11 @@ class TrainReport:
 class FastronModel:
     """Dataset, weights and hypothesis vector of the proxy checker."""
 
-    def __init__(self, params: TrainParams, dim: int | None = None, capacity: int = 0):
+    def __init__(self, params: TrainParams, dim: int, capacity: int = 0):
+        check_int("dim", dim, 1)
         self.params = params
         self.dim = dim
-        self.X = np.zeros((0, dim if dim else 0), dtype=np.float64)
+        self.X = np.zeros((0, dim), dtype=np.float64)
         self.y = np.zeros(0, dtype=np.float64)
         self.alpha = np.zeros(0, dtype=np.float64)
         self.F = np.zeros(0, dtype=np.float64)
@@ -94,7 +95,7 @@ class FastronModel:
     def _validate_points(self, X: np.ndarray) -> None:
         if X.ndim != 2:
             raise ValueError("points must be a 2-D array")
-        if self.dim is not None and X.shape[1] != self.dim:
+        if X.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {X.shape[1]}")
         if X.size and not np.abs(X).max() <= 1.0:  # NaN fails too
             raise ValueError("coordinates must be finite and lie in [-1, 1]")
@@ -104,7 +105,7 @@ class FastronModel:
         y = np.asarray(y, dtype=np.float64).reshape(-1).copy()
         if y.shape[0] != n:
             raise ValueError(f"expected {n} labels, got {y.shape[0]}")
-        if y.size and not np.all(np.abs(y) == 1.0):
+        if not np.all(np.abs(y) == 1.0):
             raise ValueError("labels must be +1 or -1")
         return y
 
@@ -118,14 +119,12 @@ class FastronModel:
         self._validate_points(X)
         n = X.shape[0]
         y = self._validate_labels(y, n)
-        if n and np.unique(X, axis=0).shape[0] != n:
+        if np.unique(X, axis=0).shape[0] != n:
             raise DuplicatePointError("dataset contains identical configurations")
         self.X = X
         self.y = y
         self.alpha = np.zeros(n, dtype=np.float64)
         self.F = np.zeros(n, dtype=np.float64)
-        if n:
-            self.dim = X.shape[1]
         self.gram.reset(n)
         self._sv = None
 
@@ -151,23 +150,18 @@ class FastronModel:
         y_A = self._validate_labels(y_A, A.shape[0])
         if A.shape[0] == 0:
             return
-        if self.n and np.any(self.alpha == 0.0):
+        if np.any(self.alpha == 0.0):
             raise ValueError("model must be sparsified before appending points")
-        combined = np.vstack([self.X, A]) if self.n else A
+        combined = np.vstack([self.X, A])
         if np.unique(combined, axis=0).shape[0] != combined.shape[0]:
             raise DuplicatePointError("appended points collide with retained set")
         n_old = self.n
         self.gram.complete_and_extend(self.X, A)
-        if n_old:
-            block = np.ascontiguousarray(self.gram.matrix[n_old:, :n_old])
-            F_new = block @ self.alpha
-        else:
-            F_new = np.zeros(A.shape[0], dtype=np.float64)
+        F_new = np.ascontiguousarray(self.gram.matrix[n_old:, :n_old]) @ self.alpha
         self.X = combined
         self.y = np.concatenate([self.y, y_A])
         self.alpha = np.concatenate([self.alpha, np.zeros(A.shape[0])])
         self.F = np.concatenate([self.F, F_new])
-        self.dim = self.X.shape[1]
         self._sv = None
 
     def sparsify(self) -> int:
@@ -251,32 +245,27 @@ class FastronModel:
             report.iterations_used += 1
             np.multiply(y, F, out=yF)
             i = int(yF.argmin())  # ties resolve to the lowest index
-            blocked = False
-            if yF[i] <= 0.0:
-                col = gram.ensure_column(X, i)
-                if alpha[i] != 0.0 or np.count_nonzero(alpha) < p.s_max:
-                    delta = by[i] - F[i]
-                    alpha[i] += delta
-                    np.multiply(col, delta, out=step)
-                    F += step
-                    report.corrections += 1
-                    if record_loss:
-                        report.loss_trace.append(self._trace_loss(by))
-                        report.step_kinds.append("correction")
-                    continue
-                blocked = True
-            # All margins positive, or the cap blocks the needed addition:
-            # snapshot, then try to shed one redundant support point.
-            alpha_before[:] = alpha
-            F_before[:] = F
-            if self.remove_redundant():
+            misclassified = yF[i] <= 0.0
+            if misclassified and (alpha[i] != 0.0 or np.count_nonzero(alpha) < p.s_max):
+                delta = by[i] - F[i]
+                alpha[i] += delta
+                np.multiply(gram.ensure_column(X, i), delta, out=step)
+                F += step
+                report.corrections += 1
+                kind = "correction"
+            else:
+                # All margins positive, or the cap blocks the needed addition:
+                # snapshot, then try to shed one redundant support point.
+                alpha_before[:] = alpha
+                F_before[:] = F
+                if not self.remove_redundant():
+                    report.cap_blocked = bool(misclassified)
+                    break
                 report.removals += 1
-                if record_loss:
-                    report.loss_trace.append(self._trace_loss(by))
-                    report.step_kinds.append("removal")
-                continue
-            report.cap_blocked = blocked
-            break
+                kind = "removal"
+            if record_loss:
+                report.loss_trace.append(self._trace_loss(by))
+                report.step_kinds.append(kind)
         if int(np.sum(y * F_before <= 0.0)) < int(np.sum(y * F <= 0.0)):
             alpha[:] = alpha_before
             F[:] = F_before
@@ -317,8 +306,6 @@ class FastronModel:
         if not isinstance(q, np.ndarray) or q.dtype != np.float64:
             q = np.asarray(q, dtype=np.float64)
         if q.ndim != 1 or q.shape[0] != self.dim:
-            if self.dim is None:  # no data yet, so no dimension to check
-                return 0.0
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {q.shape}")
         v = q.tolist()
         qq = 0.0
@@ -355,8 +342,6 @@ class FastronModel:
         a, W = self._support()
         d = self.dim
         if Q.ndim != 2 or Q.shape[1] != d:
-            if d is None and Q.ndim == 2:  # no data yet, so no dimension to check
-                return np.zeros(Q.shape[0], dtype=np.float64)
             raise ValueError(f"dimension mismatch: expected {d}, got {Q.shape}")
         m = Q.shape[0]
         rows = min(block, m)
@@ -383,18 +368,6 @@ class FastronModel:
     # ------------------------------------------------------------------
     # diagnostics
 
-    def loss(self) -> float:
-        """Modified loss ``1/2 a'Ka - y'B a``, evaluated from a full Gram fill.
-
-        Test instrumentation; reduces to the plain perceptron loss at
-        beta = 1.
-        """
-        K = self.gram.full(self.X)
-        by = self._target_vector()
-        a = self.alpha
-        # K is symmetric and K.T is the C-contiguous buffer block
-        return float(0.5 * (a @ (K.T @ a)) - by @ a)
-
     def margins(self) -> np.ndarray:
         return self.y * self.F
 
@@ -412,7 +385,7 @@ class FastronModel:
         ys = self.y[mask]
         a = self.alpha[mask]
         p = self.params
-        lines = [f"fastron v1 d={self.dim or Xs.shape[1]} n={Xs.shape[0]} "
+        lines = [f"fastron v1 d={self.dim} n={Xs.shape[0]} "
                  f"gamma={float(p.gamma)!r} beta={float(p.beta)!r}"]
         for row, label, w in zip(Xs, ys, a):
             coords = " ".join(repr(float(c)) for c in row)
@@ -432,6 +405,7 @@ class FastronModel:
         try:
             fields = dict(tok.split("=", 1) for tok in head[2:])
             d, ns = int(fields["d"]), int(fields["n"])
+            check_int("d", d, 1)
             params = TrainParams(gamma=float(fields["gamma"]), beta=float(fields["beta"]))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: bad header {lines[0]!r}: {exc!r}") from exc
@@ -452,9 +426,8 @@ class FastronModel:
         model = cls(params, dim=d)
         model.set_data(X, y)
         model.alpha = alpha
-        if ns:
-            # the full Gram keeps every support column computed, as training
-            # leaves it; K.T is the C-contiguous buffer block
-            model.F = model.gram.full(model.X).T @ alpha
+        # the full Gram keeps every support column computed, as training
+        # leaves it; K.T is the C-contiguous buffer block
+        model.F = model.gram.full(model.X).T @ alpha
         model._sv = None
         return model

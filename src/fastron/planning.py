@@ -90,11 +90,14 @@ def edge_valid(a, b, checker: CheckerFn, resolution: float) -> bool:
 
 
 class _Tree:
+    """Points and parent indices in arrays that double when full: one
+    ``_connect`` may add any number of nodes per planner iteration."""
+
     __slots__ = ("pts", "parents", "n")
 
-    def __init__(self, root: np.ndarray, cap: int):
-        self.pts = np.empty((cap, root.shape[0]), dtype=np.float64)
-        self.parents = np.empty(cap, dtype=np.int64)
+    def __init__(self, root: np.ndarray):
+        self.pts = np.empty((64, root.shape[0]), dtype=np.float64)
+        self.parents = np.empty(64, dtype=np.int64)
         self.pts[0] = root
         self.parents[0] = -1
         self.n = 1
@@ -103,6 +106,9 @@ class _Tree:
         return int(np.argmin(_squared_distance(self.pts[: self.n], target)))
 
     def add(self, point: np.ndarray, parent: int) -> int:
+        if self.n == self.parents.shape[0]:
+            self.pts = np.concatenate([self.pts, np.empty_like(self.pts)])
+            self.parents = np.concatenate([self.parents, np.empty_like(self.parents)])
         self.pts[self.n] = point
         self.parents[self.n] = parent
         self.n += 1
@@ -168,7 +174,7 @@ def rrt_plan(query: PlanQuery) -> MotionPlan | None:
     checker, goal, res = query.checker, query.goal, query.edge_resolution
     d = goal.shape[0]
     rng = np.random.default_rng(query.seed)
-    tree = _Tree(query.start, query.max_iterations + 2)
+    tree = _Tree(query.start)
     for it in range(1, query.max_iterations + 1):
         target = goal if rng.random() < query.goal_bias else rng.uniform(-1.0, 1.0, d)
         idx = _extend(tree, target, checker, query.step_size, res)
@@ -189,9 +195,8 @@ def rrt_connect_plan(query: PlanQuery) -> MotionPlan | None:
         return trivial
     checker, res = query.checker, query.edge_resolution
     rng = np.random.default_rng(query.seed)
-    cap = 2 * query.max_iterations + 4
-    tree_a = _Tree(query.start, cap)
-    tree_b = _Tree(query.goal, cap)
+    tree_a = _Tree(query.start)
+    tree_b = _Tree(query.goal)
     swapped = False
     for it in range(1, query.max_iterations + 1):
         sample = rng.uniform(-1.0, 1.0, query.start.shape[0])

@@ -122,8 +122,6 @@ def update_cycle(model: FastronModel, oracle: LabelFn, params: SamplerParams) ->
     """
     rng = _cycle_rng(params, model.update_cycles)
     if model.n == 0:
-        if model.dim is None:
-            raise ValueError("model dimension unknown; construct with dim=")
         X0 = rng.uniform(-1.0, 1.0, (params.n_initial, model.dim))
         y0 = np.array([oracle(x) for x in X0], dtype=np.float64)
         model.set_data(X0, y0)

@@ -75,6 +75,19 @@ def reference_train(X, y, gamma, beta, iter_max, s_max, alpha=None, F=None):
     return alpha, F, counts
 
 
+def model_loss(model) -> float:
+    """Modified loss ``1/2 a'Ka - y'B a`` of a model's weights, over the eager Gram matrix.
+
+    ``B`` is diagonal with beta where y_i = +1 and 1 where y_i = -1, so at
+    beta = 1 this is the plain perceptron loss. Below d = 8 the eager
+    Gram entries equal the model's lazily filled ones bitwise.
+    """
+    K = eager_gram(model.X, model.params.gamma)
+    by = np.where(model.y > 0.0, model.params.beta, 1.0) * model.y
+    a = model.alpha
+    return float(0.5 * (a @ (K @ a)) - by @ a)
+
+
 def gram_via_cdist(X: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix through scipy's pairwise distances; fast oracle for solves."""
     from scipy.spatial.distance import cdist

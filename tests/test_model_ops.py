@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fastron.kernels import rq_kernel
 from fastron.model import DuplicatePointError, FastronModel, TrainParams
 
-from reference import eager_gram, fsum_hypothesis
+from reference import eager_gram, fsum_hypothesis, model_loss
 
 
 def make_model(X, y, **kw):
@@ -251,14 +251,14 @@ def test_batch_peak_memory_is_one_block_buffer():
 
 def test_loss_zero_weights():
     m = make_model([[0.1, 0.2], [0.3, 0.4]], [1, -1])
-    assert m.loss() == 0.0
+    assert model_loss(m) == 0.0
 
 
 def test_loss_single_point_hand_value():
     m = make_model([[0.1, 0.2]], [1])
     m.alpha = np.array([1.0])
     m.F = np.array([1.0])
-    assert m.loss() == pytest.approx(-0.5, abs=1e-15)
+    assert model_loss(m) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_loss_lower_bound_via_qp_oracle():
@@ -275,7 +275,7 @@ def test_loss_lower_bound_via_qp_oracle():
     m = make_model(X, y)
     m.alpha = a_star
     m.F = K @ a_star
-    assert m.loss() == pytest.approx(lower, abs=1e-9)
+    assert model_loss(m) == pytest.approx(lower, abs=1e-9)
     np.testing.assert_allclose(m.margins(), 1.0, atol=1e-9)
 
     def loss_fn(a):
@@ -527,3 +527,23 @@ def test_load_rejects_non_finite_coordinate_or_weight(tmp_path):
         path.write_text("\n".join([lines[0], " ".join(toks)] + lines[2:]) + "\n")
         with pytest.raises(ValueError, match="non-finite"):
             FastronModel.load(path)
+
+
+@pytest.mark.parametrize("body", [
+    "fastron v1 d=0 n=0 gamma=30.0 beta=1.0",
+    "fastron v1 d=-1 n=1 gamma=30.0 beta=1.0\n0.5 1.0 1.0",
+    "fastron v1 d=0 n=2 gamma=30.0 beta=1.0\n1.0 1.0\n-1.0 -1.0",
+], ids=["d=0,n=0", "d=-1", "d=0,n=2"])
+def test_load_rejects_dimension_below_one(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body + "\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: bad header .*d must be an integer >= 1"):
+        FastronModel.load(path)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+def test_model_requires_integer_dimension_of_at_least_one(dim):
+    with pytest.raises(ValueError, match="dim"):
+        FastronModel(TrainParams(gamma=30.0), dim=dim)
+    with pytest.raises(TypeError):
+        FastronModel(TrainParams(gamma=30.0))

@@ -185,6 +185,30 @@ def test_waypoints_stay_in_unit_box():
             assert np.abs(w).max() <= 1.0
 
 
+@pytest.mark.parametrize("max_iterations, seed", [(1, 0), (2, 2)])
+def test_connect_adds_more_nodes_than_iterations(max_iterations, seed):
+    # one connect step walks the start tree along the wall, so the trees
+    # outgrow any capacity guessed from max_iterations
+    def wall(p):
+        return not (-0.6 <= p[0] <= -0.5 and p[1] > -0.95)
+
+    query = PlanQuery([-0.9, 0.9], [0.9, 0.9], wall, max_iterations=max_iterations, seed=seed)
+    assert rrt_connect_plan(query) is None
+
+
+def test_trees_grow_past_their_initial_size():
+    # at step 0.01 one connect lays about 180 nodes between the trees
+    start, goal = np.array([-0.9, 0.0]), np.array([0.9, 0.0])
+    plan = rrt_connect_plan(PlanQuery(start, goal, all_free, step_size=0.01,
+                                      max_iterations=1, seed=0))
+    assert plan is not None and plan.iterations == 1
+    assert len(plan.waypoints) > 180
+    np.testing.assert_array_equal(plan.waypoints[0], start)
+    np.testing.assert_array_equal(plan.waypoints[-1], goal)
+    steps = np.linalg.norm(np.diff(plan.waypoints, axis=0), axis=1)
+    assert steps.max() <= 0.01 + 1e-12
+
+
 def test_planner_never_calls_other_checker():
     proxy = WallWithGap()
     oracle = Disc([0.0, 0.0], 0.1)
