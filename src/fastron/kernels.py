@@ -20,12 +20,22 @@ buffer. A product that must keep the bits of a row-major matrix
 multiplies a C-contiguous block (``np.ascontiguousarray``), not that
 view: BLAS sums a transposed operand in another order.
 
+The buffer is a private anonymous demand-zero mapping advised against
+huge pages, not an ``np.zeros`` array. Training writes a small share of its
+rows, scattered over the buffer, and numpy advises the kernel to back
+large arrays with transparent huge pages, so an ``np.zeros`` buffer
+becomes resident, and zeroed, in 2 MB units around every written row.
+Over 4 KB demand-zero pages, resident memory grows with the columns
+computed, not with n^2.
+
 Kernel functions are pure and thread-safe. A LazyGramMatrix is
 single-writer: it may move between threads but must not be mutated
 concurrently.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -86,6 +96,19 @@ def rq_kernel_vector(X: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
     return np.divide(1.0, t, out=t)
 
 
+def _zero_buffer(cap: int) -> np.ndarray:
+    """A (cap, cap) float64 zero array whose pages become resident only when written.
+
+    ACCESS_COPY makes the anonymous mapping private: a shared one is backed
+    by shared memory, whose page faults cost more.
+    """
+    # mmap rejects length 0
+    mem = mmap.mmap(-1, max(cap * cap * 8, mmap.PAGESIZE), access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mem.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(mem, dtype=np.float64, count=cap * cap).reshape(cap, cap)
+
+
 class LazyGramMatrix:
     """Dense kernel matrix filled one column at a time.
 
@@ -98,14 +121,17 @@ class LazyGramMatrix:
     computed flag is set. The diagonal of a computed column is exactly 1.
     Column j lives in buffer row j, so :meth:`ensure_column` returns a
     contiguous row and :attr:`matrix` is the transposed view of the
-    buffer's live block.
+    buffer's live block. The buffer is a demand-zero mapping that stays
+    off huge pages: numpy's huge-page advice for large arrays would make
+    a sparsely written buffer resident in 2 MB units; here only the 4 KB
+    pages that hold written rows become resident.
     """
 
     def __init__(self, gamma: float, capacity: int = 0):
         if gamma <= 0.0:
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
-        self._buf = np.zeros((capacity, capacity), dtype=np.float64)
+        self._buf = _zero_buffer(capacity)
         self._computed = np.zeros(capacity, dtype=bool)
         self.n = 0
         self.kernel_evals = 0  # scalar kernel evaluations performed so far
@@ -114,7 +140,7 @@ class LazyGramMatrix:
     def _grow(self, cap: int) -> None:
         if cap <= self._buf.shape[0]:
             return
-        buf = np.zeros((cap, cap), dtype=np.float64)
+        buf = _zero_buffer(cap)
         flags = np.zeros(cap, dtype=bool)
         n = self.n
         buf[:n, :n] = self._buf[:n, :n]
@@ -136,6 +162,11 @@ class LazyGramMatrix:
 
     def column_computed(self, j: int) -> bool:
         return bool(self._computed[j])
+
+    @property
+    def computed_count(self) -> int:
+        """Number of live columns whose computed flag is set."""
+        return int(np.count_nonzero(self._computed[: self.n]))
 
     def ensure_column(self, X: np.ndarray, j: int) -> np.ndarray:
         """Fill column ``j`` against every current point and return it.

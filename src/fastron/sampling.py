@@ -69,7 +69,6 @@ def generate_active_set(
     support: np.ndarray,
     params: SamplerParams,
     rng: np.random.Generator,
-    dim: int | None = None,
 ) -> np.ndarray:
     """Draw exactly ``a_max`` points: exploitation first, then exploration.
 
@@ -79,12 +78,9 @@ def generate_active_set(
     Deterministic for a fixed rng state.
     """
     support = np.asarray(support, dtype=np.float64)
-    if support.size:
-        d = support.shape[1]
-    elif dim is not None:
-        d = dim
-    else:
-        raise ValueError("dim required when the support set is empty")
+    if support.ndim != 2:
+        raise ValueError(f"support must be a 2-D (m, d) array, got shape {support.shape}")
+    d = support.shape[1]
     if params.sigma is None:
         raise ValueError("sigma must be resolved before sampling")
     out = np.empty((params.a_max, d), dtype=np.float64)
@@ -131,7 +127,7 @@ def update_cycle(model: FastronModel, oracle: LabelFn, params: SamplerParams) ->
     report = model.train()
     model.sparsify()
     sp = replace(params, sigma=resolved_sigma(params, model.params.gamma))
-    active = generate_active_set(model.X, sp, rng, dim=model.dim)
+    active = generate_active_set(model.X, sp, rng)
     model.append_points(active, np.ones(active.shape[0]))
     model.update_cycles += 1
     return report

@@ -516,6 +516,25 @@ def test_lazy_gram_accounting_on_bench_workload():
     assert gram.kernel_evals < n0 * n0
 
 
+@pytest.mark.parametrize("case", ["eager", "over-counted"])
+def test_lazy_fill_guard_raises_on_an_over_evaluated_gram(case):
+    # an explicit exception, so the guard holds under python -O as well
+    from fastron.bench.runners import _check_lazy_fill
+    from fastron.model import FastronModel, TrainParams
+
+    X = np.random.default_rng(4).uniform(-1, 1, (120, 2))
+    model = FastronModel(TrainParams(gamma=10.0), dim=2)
+    model.set_data(X, np.ones(len(X)))
+    _check_lazy_fill(model)  # nothing evaluated yet
+    if case == "eager":
+        model.gram.full(model.X)  # all n^2 kernels
+    else:
+        model.gram.ensure_column(model.X, 0)
+        model.gram.compact(np.arange(10))  # 120 evaluations, 10 rows, 1 column
+    with pytest.raises(RuntimeError, match="kernel_evals"):
+        _check_lazy_fill(model)
+
+
 def test_dynamic_accuracy_settles_quickly():
     cfg = load_config({
         "robot": {"type": "dof2"},

@@ -1,3 +1,6 @@
+import mmap
+import os
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,25 @@ def test_matrix_exact_through_fills_extend_compact_and_growth(points):
     X = np.vstack([X, points[20:50]])
     assert_computed_columns_exact(g, X)
     np.testing.assert_array_equal(g.full(X), eager_gram(X, 30.0))
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * mmap.PAGESIZE
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_buffer_is_resident_only_where_written():
+    # 50 scattered rows of a 4000 x 4000 buffer are 1.6 MB; a buffer on
+    # huge pages would make most of its 128 MB resident in 2 MB units
+    X = np.random.default_rng(8).uniform(-1, 1, (4000, 4))
+    before = _resident_bytes()
+    g = LazyGramMatrix(10.0)
+    g.reset(len(X))
+    for j in range(0, len(X), 80):
+        g.ensure_column(X, j)
+    assert g.computed_count == 50
+    assert _resident_bytes() - before < 16 * 2**20
 
 
 def test_append_points_multiplies_a_row_major_block():

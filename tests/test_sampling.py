@@ -40,7 +40,7 @@ def test_kappa_zero_is_all_uniform():
 
 def test_empty_support_is_all_uniform():
     p = SamplerParams(a_max=50, kappa=4, sigma=0.1)
-    A = generate_active_set(np.zeros((0, 2)), p, rng_for(), dim=2)
+    A = generate_active_set(np.zeros((0, 2)), p, rng_for())
     assert A.shape == (50, 2)
 
 
@@ -84,6 +84,13 @@ def test_exploitation_variance_matches_sigma():
 def test_sigma_unresolved_raises():
     with pytest.raises(ValueError):
         generate_active_set(np.zeros((1, 2)), SamplerParams(), rng_for())
+
+
+@pytest.mark.parametrize("support", [np.zeros(0), np.zeros(3), np.zeros((1, 2, 2))])
+def test_support_not_two_dimensional_raises(support):
+    p = SamplerParams(a_max=10, kappa=1, sigma=0.1)
+    with pytest.raises(ValueError, match=r"shape \("):
+        generate_active_set(support, p, rng_for())
 
 
 # ----------------------------------------------------------------------
