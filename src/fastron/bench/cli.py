@@ -68,8 +68,8 @@ def _seed_list(cfg, args) -> list[int]:
 def _check_asserts(records, asserts) -> list[str]:
     failures = []
     for metric, bounds in asserts.items():
-        vals = [getattr(r, metric, None) for r in records]
-        vals = [v for v in vals if v is not None]
+        # the config admits only numeric record fields and finite min/max bounds
+        vals = [v for v in (getattr(r, metric) for r in records) if v is not None]
         if not vals:
             failures.append(f"{metric}: no values recorded")
             continue

@@ -10,6 +10,8 @@ from typing import Any
 from ..model import TrainParams
 from ..planning import PlanQuery
 from ..sampling import SamplerParams
+from .report import MetricsRecord
+from .scenarios import build_chain, explicit_body
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config"]
 
@@ -148,20 +150,59 @@ _SECTIONS = {
 _SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
+def _mistyped(val, kind: str) -> bool:
+    # bools are ints to Python, so they are told apart explicitly
+    return (isinstance(val, bool) != (kind == "bool") or not isinstance(val, _SCALARS[kind])
+            or (kind == "float" and not math.isfinite(val)))
+
+
 def _check_types(cfg: ScenarioConfig) -> None:
-    # scalar fields by their annotation ("int", "float | None", ...); bools
-    # are ints to Python, so they are told apart explicitly
+    # every field by its annotation ("int", "float | None", "list[float]", ...)
     for section in _SECTIONS:
         obj = getattr(cfg, section)
         for f in fields(obj):
             kind, _, optional = f.type.partition(" | ")
             val = getattr(obj, f.name)
-            if kind not in _SCALARS or (val is None and optional):
+            if val is None and optional:
                 continue
-            if (isinstance(val, bool) != (kind == "bool") or not isinstance(val, _SCALARS[kind])
-                    or (kind == "float" and not math.isfinite(val))):
+            if kind.startswith("list"):
+                want = "a list of finite numbers" if kind == "list[float]" else "a list"
+                bad = not isinstance(val, list) or (
+                    kind == "list[float]" and any(_mistyped(v, "float") for v in val))
+            else:
                 want = "a finite number" if kind == "float" else f"of type {kind}"
+                bad = _mistyped(val, kind)
+            if bad:
                 raise ConfigError(f"{section}.{f.name} must be {want}, got {val!r}")
+
+
+# the CSV columns an assert may bound: every MetricsRecord field but the text ones
+_ASSERTABLE = tuple(f.name for f in fields(MetricsRecord) if f.type not in ("str", "str | None"))
+
+
+def _check_assert_bounds(asserts) -> None:
+    if not isinstance(asserts, dict):
+        raise ConfigError("asserts must be an object of metric -> {min, max}")
+    for metric, bounds in asserts.items():
+        if metric not in _ASSERTABLE:
+            raise ConfigError(f"asserts.{metric}: not a numeric metric; one of {list(_ASSERTABLE)}")
+        if not isinstance(bounds, dict) or not bounds or not set(bounds) <= {"min", "max"}:
+            raise ConfigError(f"asserts.{metric} must be an object with 'min' and/or 'max', "
+                              f"got {bounds!r}")
+        for key, bound in bounds.items():
+            if _mistyped(bound, "float"):
+                raise ConfigError(f"asserts.{metric}.{key} must be a finite number, got {bound!r}")
+
+
+def _built(name: str, build) -> None:
+    # the library classes own the ranges of what they are built from: build
+    # the object once, and report what it rejects under the config field
+    try:
+        build()
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -173,6 +214,9 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.robot.link_shape not in ("capsule", "box"):
         raise ConfigError("robot.link_shape must be 'capsule' or 'box'")
     ob = cfg.obstacles
+    _built("robot.rods", lambda: build_chain(cfg))
+    for k, spec in enumerate(ob.explicit or ()):
+        _built(f"obstacles.explicit[{k}]", lambda: explicit_body(spec))
     if ob.count < 0:
         raise ConfigError("obstacles.count must be >= 0")
     if ob.count == 0 and ob.randomize_count and ob.explicit is None:
@@ -183,13 +227,8 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("obstacles.placement_radius must be [lo, hi] with 0 <= lo <= hi")
     if ob.motion_steps < 0 or ob.motion_speed < 0:
         raise ConfigError("obstacle motion fields must be non-negative")
-    # the library classes own the numeric ranges of these two sections
-    for section, build in (("fastron", lambda: (cfg.train_params(), cfg.sampler_params(0))),
-                           ("planner", lambda: cfg.plan_query((), (), None, 0))):
-        try:
-            build()
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
+    _built("fastron", lambda: (cfg.train_params(), cfg.sampler_params(0)))
+    _built("planner", lambda: cfg.plan_query((), (), None, 0))
     pl = cfg.planner
     if pl.algorithm not in ("rrt", "rrt_connect"):
         raise ConfigError("planner.algorithm must be 'rrt' or 'rrt_connect'")
@@ -200,9 +239,11 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("eval fields must be >= 1")
     if cfg.seeds is not None and (
         not isinstance(cfg.seeds, list) or not cfg.seeds
-        or not all(isinstance(s, int) and s >= 0 for s in cfg.seeds)
+        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in cfg.seeds)
     ):
         raise ConfigError("seeds must be a non-empty list of non-negative integers")
+    if cfg.asserts is not None:
+        _check_assert_bounds(cfg.asserts)
     return cfg
 
 

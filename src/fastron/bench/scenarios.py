@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..geometry import Box, KinematicChain, Workspace, four_dof_rod, from_input_space, two_dof_rod
-from .config import ScenarioConfig
+
+if TYPE_CHECKING:  # the config validates by building chains and bodies here
+    from .config import ScenarioConfig
 
 __all__ = ["build_chain", "build_workspace", "random_start_goal", "gap_obstacles"]
+
+_START_GOAL_TRIES = 10_000
 
 
 def build_chain(cfg: ScenarioConfig) -> KinematicChain:
@@ -21,7 +26,7 @@ def build_chain(cfg: ScenarioConfig) -> KinematicChain:
     return KinematicChain([(l, rad) for l, rad in r.rods], link_shape=r.link_shape)
 
 
-def _explicit_body(spec: dict) -> Box:
+def explicit_body(spec: dict) -> Box:
     center = spec["center"]
     if "half_extents" in spec:
         half = spec["half_extents"]
@@ -64,7 +69,7 @@ def build_workspace(cfg: ScenarioConfig, rng: np.random.Generator,
                     chain: KinematicChain) -> Workspace:
     ob = cfg.obstacles
     if ob.explicit is not None:
-        obstacles = [_explicit_body(spec) for spec in ob.explicit]
+        obstacles = [explicit_body(spec) for spec in ob.explicit]
     else:
         count = int(rng.integers(1, ob.count + 1)) if ob.randomize_count else ob.count
         obstacles = [_random_obstacle(rng, chain, cfg) for _ in range(count)]
@@ -80,22 +85,16 @@ def build_workspace(cfg: ScenarioConfig, rng: np.random.Generator,
     return Workspace(obstacles, velocities, bounds)
 
 
-def gap_obstacles(radius: float = 0.55, side: float = 0.30, slots: int = 7,
-                  gap_slot: int = 3) -> list[dict]:
-    """Arc of cubes across the yaw=0 half-plane with one slot left open.
+def gap_obstacles() -> list[dict]:
+    """Arc of cubes (side 0.30, radius 0.55) across the yaw=0 half-plane.
 
-    The missing slot sits at the vertical, so crossing from negative to
-    positive yaw forces the rod through a narrow near-vertical passage;
-    in C-space this is a wall with a small gap.
+    Of the arc's seven slots, slot 3, at the vertical, is left open, so
+    crossing from negative to positive yaw forces the rod through a narrow
+    near-vertical passage; in C-space this is a wall with a small gap.
     """
-    specs = []
-    for k in range(slots):
-        if k == gap_slot:
-            continue
-        theta = (k + 0.5) * math.pi / slots
-        center = (radius * math.cos(theta), 0.0, radius * math.sin(theta))
-        specs.append({"center": list(center), "size": side})
-    return specs
+    thetas = [(k + 0.5) * math.pi / 7 for k in range(7) if k != 3]
+    return [{"center": [0.55 * math.cos(t), 0.0, 0.55 * math.sin(t)], "size": 0.30}
+            for t in thetas]
 
 
 def random_start_goal(
@@ -103,14 +102,14 @@ def random_start_goal(
     checkers,
     dim: int,
     min_dist: float,
-    max_tries: int = 10000,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Draw a start/goal pair free under every checker, on opposite sides.
 
     "Opposite sides" means the first coordinate changes sign, so the arm
-    has to cross the workspace rather than wiggle in place.
+    has to cross the workspace rather than wiggle in place. Gives up with
+    None after 10,000 draws.
     """
-    for _ in range(max_tries):
+    for _ in range(_START_GOAL_TRIES):
         s = rng.uniform(-1.0, 1.0, dim)
         g = rng.uniform(-1.0, 1.0, dim)
         if s[0] * g[0] >= 0.0:

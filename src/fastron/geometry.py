@@ -37,8 +37,10 @@ Rot3 = tuple[Vec3, Vec3, Vec3]
 _IDENTITY: Rot3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 # normalized support progress below which GJK declares separation (negative
-# side) or falls back to the conservative in-collision answer (band)
+# side) or falls back to the conservative in-collision answer (band, or
+# _GJK_MAX_ITER simplex updates without a decision)
 _GJK_TOL = 1e-10
+_GJK_MAX_ITER = 64
 _LIMIT_TOL = 1e-9
 _INPUT_BOUND = 1.0 + _LIMIT_TOL
 
@@ -204,7 +206,7 @@ def _handle_simplex(s):
     return _handle_tetrahedron(s)
 
 
-def gjk_intersect(a, b, max_iter: int = 64) -> bool:
+def gjk_intersect(a, b) -> bool:
     """True iff two convex bodies intersect; touching counts.
 
     Walks a simplex of Minkowski-difference support points toward the
@@ -223,7 +225,7 @@ def gjk_intersect(a, b, max_iter: int = 64) -> bool:
     w = (sa[0] - sb[0], sa[1] - sb[1], sa[2] - sb[2])
     simplex = [w]
     dx, dy, dz = -w[0], -w[1], -w[2]
-    for _ in range(max_iter):
+    for _ in range(_GJK_MAX_ITER):
         dd = dx * dx + dy * dy + dz * dz
         if dd < 1e-24:
             return True  # origin sits on the simplex: contact
@@ -246,13 +248,19 @@ def gjk_intersect(a, b, max_iter: int = 64) -> bool:
 # kinematics
 
 
+# (lower, upper, upper - lower, upper + lower) of a yaw and a pitch joint,
+# as plain floats: the one joint-limit table, repeated once per rod
+_PAIR_LIMITS = tuple((l, u, u - l, u + l) for l, u in ((-math.pi, math.pi), (0.0, math.pi)))
+
+
 class KinematicChain:
     """Serial chain of yaw-pitch joint pairs, one rod link per pair.
 
     Every pair contributes a yaw joint limited to (-pi, pi] and a pitch
     joint limited to [0, pi]; the two joints of a pair are co-located at
     the base of their rod. With all joints at zero the chain lies along
-    +x. Immutable after construction.
+    +x. ``_limits`` is the one table of limits, in plain floats.
+    Immutable after construction.
     """
 
     def __init__(self, rods, link_shape: str = "capsule"):
@@ -260,18 +268,14 @@ class KinematicChain:
         if not rods:
             raise ValueError("chain needs at least one rod")
         for l, r in rods:
-            if l <= 0.0 or r <= 0.0:
-                raise ValueError("rod length and radius must be positive")
+            if not (0.0 < l < math.inf and 0.0 < r < math.inf):
+                raise ValueError("rod length and radius must be positive and finite")
         if link_shape not in ("capsule", "box"):
             raise ValueError(f"unknown link shape {link_shape!r}")
         self.rods = tuple(rods)
         self.link_shape = link_shape
         self.dof = 2 * len(rods)
-        self.q_lower = np.array([-math.pi, 0.0] * len(rods))
-        self.q_upper = np.array([math.pi, math.pi] * len(rods))
-        # (lower, upper, upper - lower, upper + lower) per joint, as plain floats
-        self._limits = tuple((l, u, u - l, u + l)
-                             for l, u in zip(self.q_lower.tolist(), self.q_upper.tolist()))
+        self._limits = _PAIR_LIMITS * len(rods)
         self.reach = sum(l for l, _ in rods)
 
     def _check_limits(self, q) -> None:
@@ -330,18 +334,14 @@ class KinematicChain:
         return bodies
 
 
-def two_dof_rod(length: float = 1.0, radius: float | None = None,
-                link_shape: str = "capsule") -> KinematicChain:
-    """Single rod with controllable yaw and pitch."""
-    r = 0.05 * length if radius is None else radius
-    return KinematicChain([(length, r)], link_shape=link_shape)
+def two_dof_rod(link_shape: str = "capsule") -> KinematicChain:
+    """The fixed dof2 robot: one rod of length 1.0 and radius 0.05 with yaw and pitch."""
+    return KinematicChain([(1.0, 0.05)], link_shape=link_shape)
 
 
-def four_dof_rod(lengths=(0.5, 0.5), radius: float | None = None,
-                 link_shape: str = "capsule") -> KinematicChain:
-    """Two yaw-pitch rods concatenated end to end."""
-    r = 0.05 * sum(lengths) if radius is None else radius
-    return KinematicChain([(l, r) for l in lengths], link_shape=link_shape)
+def four_dof_rod(link_shape: str = "capsule") -> KinematicChain:
+    """The fixed dof4 robot: two rods of length 0.5 and radius 0.05, end to end."""
+    return KinematicChain([(0.5, 0.05)] * 2, link_shape=link_shape)
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +352,8 @@ def to_input_space(q, chain: KinematicChain) -> np.ndarray:
     """Map joint values within limits onto [-1, 1]^d."""
     q = np.asarray(q, dtype=np.float64)
     chain._check_limits(q)
-    return (2.0 * q - chain.q_upper - chain.q_lower) / (chain.q_upper - chain.q_lower)
+    lower, upper, span, _ = np.array(chain._limits).T
+    return (2.0 * q - upper - lower) / span
 
 
 def from_input_space(p, chain: KinematicChain) -> np.ndarray:

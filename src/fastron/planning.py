@@ -38,12 +38,6 @@ __all__ = [
 CheckerFn = Callable[[np.ndarray], bool]
 
 
-def _check_positive(name: str, value) -> None:
-    # one rule for step sizes and edge resolutions: an infinite resolution
-    # would reduce an edge check to its endpoints
-    check_float(name, value, 0.0, strict=True)
-
-
 @dataclass
 class PlanQuery:
     start: np.ndarray
@@ -58,8 +52,10 @@ class PlanQuery:
     def __post_init__(self):
         self.start = np.asarray(self.start, dtype=np.float64)
         self.goal = np.asarray(self.goal, dtype=np.float64)
-        _check_positive("edge_resolution", self.edge_resolution)
-        _check_positive("step_size", self.step_size)
+        # finite and > 0: an infinite resolution would reduce an edge check
+        # to its endpoints
+        check_float("edge_resolution", self.edge_resolution, 0.0, strict=True)
+        check_float("step_size", self.step_size, 0.0, strict=True)
         check_float("goal_bias", self.goal_bias, 0.0, 1.0)
         check_int("max_iterations", self.max_iterations, 1)
         check_int("seed", self.seed, 0)
@@ -77,7 +73,8 @@ def edge_valid(a, b, checker: CheckerFn, resolution: float) -> bool:
 
     Endpoints included. ``a == b`` reduces to a point check.
     """
-    _check_positive("resolution", resolution)
+    # an infinite resolution would reduce the check to the endpoints
+    check_float("resolution", resolution, 0.0, strict=True)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     dist = float(np.linalg.norm(b - a))

@@ -327,10 +327,37 @@ def test_cli_runtime_error_exit_4(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_mistyped_config_value_exit_2(tmp_path, capsys):
-    for section, key, value in (("obstacles", "count", "4"), ("fastron", "gamma", float("nan"))):
-        cfg = write_cfg(tmp_path, {section: {key: value}})
+    for data, name in (
+        ({"obstacles": {"count": "4"}}, "obstacles.count"),
+        ({"fastron": {"gamma": float("nan")}}, "fastron.gamma"),
+        ({"seeds": [True]}, "seeds"),  # used to run as seed 1
+        ({"obstacles": {"size_range": ["a", "b"]}}, "obstacles.size_range"),  # TypeError, exit 1
+        ({"obstacles": {"explicit": [{"size": 0.3}]}}, "obstacles.explicit[0]"),  # KeyError
+        # these used to exit 4 as runtime errors
+        ({"robot": {"type": "custom", "rods": [[1.0, -0.1]]}}, "robot.rods"),
+        ({"robot": {"type": "custom", "rods": [["a", 0.1]]}}, "robot.rods"),
+    ):
+        cfg = write_cfg(tmp_path, data)
         assert main(["static", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-        assert f"config error: {section}.{key}" in capsys.readouterr().err
+        assert f"config error: {name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("asserts", [
+    {"acuracy": {"min": 0.9}},  # used to exit 3: "no values recorded"
+    {"accuracy": {"minimum": 0.99}},  # used to be ignored, so the gate never fired
+    {"accuracy": {"min": "0.5"}},  # used to raise TypeError after the whole run
+    {"route": {"min": 0.0}},
+    {"accuracy": {}},
+    {"accuracy": {"max": True}},
+    {"support_count": {"max": float("inf")}},
+])
+def test_cli_bad_asserts_exit_2(tmp_path, capsys, asserts):
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}, "fastron": {"n0": 300},
+                               "eval": {"holdout": 100, "timing_calls": 100},
+                               "asserts": asserts})
+    assert main(["static", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--seeds", "1",
+                 "--assert"]) == 2
+    assert f"config error: asserts.{next(iter(asserts))}" in capsys.readouterr().err
 
 
 def test_cli_assert_failure_exit_3(tmp_path):
@@ -501,7 +528,7 @@ def test_static_eval_support_band_20_seeds():
 
 
 def test_lazy_gram_accounting_on_bench_workload():
-    from fastron.bench.runners import _rng, _S_SCENARIO, _train_static_model
+    from fastron.bench.runners import _rng, _S_SCENARIO, _S_STARTGOAL, _train_static_model
     from fastron.bench.scenarios import build_chain, build_workspace
     from fastron.geometry import make_label_fn
 
@@ -617,7 +644,7 @@ def test_gamma_sweep_support_ratio_trend():
 def test_proxy_plan_invalid_edge_fraction_and_repair_rate():
     # on random scenarios the biased proxy over-covers obstacles, so its
     # plans rarely contain oracle-invalid segments
-    from fastron.bench.runners import _rng, _S_SCENARIO, _train_static_model
+    from fastron.bench.runners import _rng, _S_SCENARIO, _S_STARTGOAL, _train_static_model
     from fastron.bench.scenarios import build_chain, build_workspace, random_start_goal
     from fastron.geometry import make_label_fn
     from fastron.planning import PlanQuery, rrt_connect_plan, verify_plan
@@ -642,7 +669,7 @@ def test_proxy_plan_invalid_edge_fraction_and_repair_rate():
         model, _, _ = _train_static_model(cfg, seed, chain, label)
         oracle_free = lambda p, fn=label: fn(p) == -1
         proxy_free = lambda p, m=model: m.predict(p) == -1
-        pair = random_start_goal(_rng(seed, 4), (oracle_free, proxy_free), 2, 0.8)
+        pair = random_start_goal(_rng(seed, _S_STARTGOAL), (oracle_free, proxy_free), 2, 0.8)
         if pair is None:
             continue
         plan = rrt_connect_plan(PlanQuery(pair[0], pair[1], proxy_free, seed=seed))

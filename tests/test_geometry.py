@@ -28,9 +28,10 @@ from reference import reference_forward_kinematics, segment_box_distance
 
 def test_mapping_corners_and_center():
     chain = two_dof_rod()
-    np.testing.assert_allclose(to_input_space(chain.q_lower, chain), -1.0)
-    np.testing.assert_allclose(to_input_space(chain.q_upper, chain), 1.0)
-    mid = (chain.q_lower + chain.q_upper) / 2.0
+    lower, upper = np.array([-math.pi, 0.0]), np.array([math.pi, math.pi])
+    np.testing.assert_allclose(to_input_space(lower, chain), -1.0)
+    np.testing.assert_allclose(to_input_space(upper, chain), 1.0)
+    mid = (lower + upper) / 2.0
     np.testing.assert_allclose(to_input_space(mid, chain), 0.0)
 
 
@@ -65,9 +66,9 @@ def test_input_mapping_rejects_bad_points(make_chain):
                 fn(p)
     # rounding spill within the tolerance is still clamped onto the limits
     q = chain.joints_from_input(np.full(chain.dof, 1.0 + 1e-10))
-    assert q == chain.q_upper.tolist()
+    assert q == [math.pi, math.pi] * (chain.dof // 2)
     q = chain.joints_from_input(np.full(chain.dof, -1.0 - 1e-10))
-    assert q == chain.q_lower.tolist()
+    assert q == [-math.pi, 0.0] * (chain.dof // 2)
 
 
 def test_mapping_round_trip_4dof():
@@ -84,26 +85,26 @@ def test_mapping_round_trip_4dof():
 
 
 def test_fk_reference_pose_along_x():
-    chain = two_dof_rod(length=1.0)
+    chain = two_dof_rod()
     link = chain.forward_kinematics([0.0, 0.0])[0]
     assert link.p0 == (0.0, 0.0, 0.0)
     np.testing.assert_allclose(link.p1, (1.0, 0.0, 0.0), atol=1e-15)
 
 
 def test_fk_yaw_quarter_turn():
-    chain = two_dof_rod(length=1.0)
+    chain = two_dof_rod()
     link = chain.forward_kinematics([math.pi / 2, 0.0])[0]
     np.testing.assert_allclose(link.p1, (0.0, 1.0, 0.0), atol=1e-12)
 
 
 def test_fk_pitch_vertical():
-    chain = two_dof_rod(length=1.0)
+    chain = two_dof_rod()
     link = chain.forward_kinematics([0.0, math.pi / 2])[0]
     np.testing.assert_allclose(link.p1, (0.0, 0.0, 1.0), atol=1e-12)
 
 
 def test_fk_matches_spherical_direction_formula():
-    chain = two_dof_rod(length=1.0)
+    chain = two_dof_rod()
     rng = np.random.default_rng(1)
     for _ in range(200):
         yaw = rng.uniform(-math.pi, math.pi)
@@ -118,8 +119,8 @@ def test_fk_matches_spherical_direction_formula():
 
 
 def test_fk_4dof_zeroed_distal_extends_straight():
-    chain4 = four_dof_rod(lengths=(0.5, 0.5))
-    chain2 = two_dof_rod(length=0.5, radius=chain4.rods[0][1])
+    chain4 = four_dof_rod()
+    chain2 = KinematicChain([(0.5, chain4.rods[0][1])])
     rng = np.random.default_rng(2)
     for _ in range(100):
         yaw = rng.uniform(-math.pi, math.pi)
@@ -148,7 +149,9 @@ def test_fk_bitwise_matches_generic_rotation_products(make_chain, shape):
     # signed zeros included, against sum()-ordered 3 x 3 products
     chain = make_chain(link_shape=shape)
     rng = np.random.default_rng(8)
-    Q = list(rng.uniform(chain.q_lower, chain.q_upper, (10_000, chain.dof)))
+    rods = chain.dof // 2
+    Q = list(rng.uniform([-math.pi, 0.0] * rods, [math.pi, math.pi] * rods,
+                         (10_000, chain.dof)))
     # every limit corner and the quarter turns, each pair drawn
     # independently, plus spill within the limit tolerance
     pairs = itertools.product((-math.pi - 1e-10, -math.pi, -math.pi / 2, 0.0, math.pi / 2,
@@ -172,7 +175,7 @@ def test_fk_out_of_limits_rejected():
 
 def test_fk_lipschitz_continuity():
     # ||tip(q + d) - tip(q)|| <= L ||d|| for total length L
-    chain = four_dof_rod(lengths=(0.5, 0.5))
+    chain = four_dof_rod()
     rng = np.random.default_rng(3)
     eps = 1e-3
     for _ in range(200):
@@ -190,7 +193,7 @@ def test_fk_lipschitz_continuity():
 
 
 def test_box_link_mode():
-    chain = two_dof_rod(length=1.0, link_shape="box")
+    chain = two_dof_rod(link_shape="box")
     link = chain.forward_kinematics([0.0, math.pi / 2])[0]
     assert isinstance(link, Box)
     np.testing.assert_allclose(link.center, (0.0, 0.0, 0.5), atol=1e-12)
@@ -230,7 +233,7 @@ def test_label_engulfing_obstacle_all_collision():
 def test_label_grid_matches_dense_sampling_oracle():
     # one cube, 100x100 configuration grid vs a densely sampled
     # segment-to-box distance check; marginal cells excluded
-    chain = two_dof_rod(length=1.0, radius=0.05)
+    chain = two_dof_rod()
     cube = Box((0.45, 0.1, 0.3), (0.12, 0.12, 0.12))
     ws = Workspace([cube])
     agree = 0
@@ -283,7 +286,7 @@ def test_label_fn_and_from_input_space_feed_fk_the_same_joints(make_chain):
 
 
 def test_in_collision_set_nonempty_iff_obstacle_reachable():
-    chain = two_dof_rod(length=1.0, radius=0.05)
+    chain = two_dof_rod()
     rng = np.random.default_rng(7)
     grid = [np.array([px, py]) for px in np.linspace(-1, 1, 40)
             for py in np.linspace(-1, 1, 40)]

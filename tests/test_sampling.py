@@ -185,3 +185,29 @@ def test_update_cycle_counter_is_explicit_state():
     sp = SamplerParams(a_max=100, kappa=4, seed=7, sigma=resolved_sigma(params, 30.0))
     rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1,)))
     np.testing.assert_array_equal(model.X[-100:], generate_active_set(model.X[:-100], sp, rng))
+
+
+def test_nonzero_weight_implies_computed_gram_column():
+    # training fills a point's Gram column before it moves that point's
+    # weight, sparsify carries the computed flags with the kept rows, and
+    # appended points enter with zero weight; so no weight ever rests on
+    # an unevaluated column, and sparsify keeps only computed columns
+    def check(model):
+        support = np.flatnonzero(model.alpha)
+        assert support.size > 0
+        assert all(model.gram.column_computed(j) for j in support)
+
+    model = make_cycle_model()
+    oracle = FlatOracle([0.7, -0.7])
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, (600, 2))
+    model.set_data(X, [oracle(x) for x in X])
+    model.train()
+    check(model)
+    model.sparsify()
+    check(model)
+    params = SamplerParams(a_max=200, kappa=4, seed=3)
+    for cycle in range(4):
+        oracle.flip = cycle == 2  # a relabel pass that inverts every label
+        update_cycle(model, oracle, params)
+        check(model)
