@@ -7,60 +7,14 @@ the learner with the exact geometric oracle it is trained against,
 sampling-based planners that consume either checker, and a benchmark CLI.
 """
 
-from .kernels import LazyGramMatrix, rq_kernel
-from .model import DuplicatePointError, FastronModel, TrainParams, TrainReport
-from .sampling import SamplerParams, generate_active_set, update_cycle
-from .geometry import (
-    Box,
-    Capsule,
-    KinematicChain,
-    Workspace,
-    from_input_space,
-    gjk_intersect,
-    kcd_label,
-    make_label_fn,
-    to_input_space,
-    two_dof_rod,
-    four_dof_rod,
-)
-from .planning import (
-    MotionPlan,
-    PlanQuery,
-    edge_valid,
-    repair_plan,
-    rrt_connect_plan,
-    rrt_plan,
-    verify_plan,
-)
+from . import kernels, model, sampling, geometry, planning
+from .kernels import *
+from .model import *
+from .sampling import *
+from .geometry import *
+from .planning import *
 
-__all__ = [
-    "rq_kernel",
-    "LazyGramMatrix",
-    "FastronModel",
-    "TrainParams",
-    "TrainReport",
-    "DuplicatePointError",
-    "SamplerParams",
-    "generate_active_set",
-    "update_cycle",
-    "Box",
-    "Capsule",
-    "Workspace",
-    "KinematicChain",
-    "two_dof_rod",
-    "four_dof_rod",
-    "gjk_intersect",
-    "kcd_label",
-    "to_input_space",
-    "from_input_space",
-    "make_label_fn",
-    "PlanQuery",
-    "MotionPlan",
-    "edge_valid",
-    "rrt_plan",
-    "rrt_connect_plan",
-    "verify_plan",
-    "repair_plan",
-]
+# the package surface is its modules' public names, each listed once, in its module
+__all__ = kernels.__all__ + model.__all__ + sampling.__all__ + geometry.__all__ + planning.__all__
 
 __version__ = "0.1.0"

@@ -1,32 +1,10 @@
 """Benchmark harness: configs, scenario generation, runners, CSV reports."""
 
-from .config import ConfigError, ScenarioConfig, load_config
-from .report import COLUMNS, MetricsRecord, TIMING_COLUMNS, emit_report, parse_report
-from .runners import (
-    median_call_times,
-    run_dynamic_eval,
-    run_planning_eval,
-    run_static_eval,
-    run_sweep,
-)
-from .scenarios import build_chain, build_workspace, gap_obstacles, random_start_goal
+from . import config, report, runners, scenarios
+from .config import *
+from .report import *
+from .runners import *
+from .scenarios import *
 
-__all__ = [
-    "ConfigError",
-    "ScenarioConfig",
-    "load_config",
-    "MetricsRecord",
-    "COLUMNS",
-    "TIMING_COLUMNS",
-    "emit_report",
-    "parse_report",
-    "run_static_eval",
-    "run_sweep",
-    "run_dynamic_eval",
-    "run_planning_eval",
-    "median_call_times",
-    "build_chain",
-    "build_workspace",
-    "gap_obstacles",
-    "random_start_goal",
-]
+# the package surface is its modules' public names, each listed once, in its module
+__all__ = config.__all__ + report.__all__ + runners.__all__ + scenarios.__all__

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from ..model import FastronModel
-from .config import ConfigError, load_config
+from .config import SWEEP_PARAMETERS, ConfigError, load_config
 from .report import emit_report
 from .runners import run_dynamic_eval, run_planning_eval, run_static_eval, run_sweep
 
@@ -46,8 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--load-model", default=None,
                        help="evaluate a saved model instead of training (static only)")
         if name == "sweep":
-            p.add_argument("--parameter", required=True,
-                           choices=("beta", "gamma", "obstacle_count"))
+            p.add_argument("--parameter", required=True, choices=sorted(SWEEP_PARAMETERS))
             p.add_argument("--values", required=True,
                            help="comma-separated sweep values")
     return parser

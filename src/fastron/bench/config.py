@@ -8,12 +8,12 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from ..model import TrainParams
-from ..planning import PlanQuery
+from ..planning import PLANNERS, PlanQuery
 from ..sampling import SamplerParams
 from .report import MetricsRecord
 from .scenarios import build_chain, explicit_body
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_config"]
+__all__ = ["ConfigError", "ScenarioConfig", "SWEEP_PARAMETERS", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -116,16 +116,18 @@ class ScenarioConfig:
 
     def with_override(self, parameter: str, value: float) -> "ScenarioConfig":
         """Validated copy of the config with one sweep parameter replaced."""
-        if parameter == "beta":
-            sub = replace(self, fastron=replace(self.fastron, beta=float(value)))
-        elif parameter == "gamma":
-            sub = replace(self, fastron=replace(self.fastron, gamma=float(value)))
-        elif parameter == "obstacle_count":
-            sub = replace(self, obstacles=replace(self.obstacles, count=int(value),
-                                                  randomize_count=False))
-        else:
+        if parameter not in SWEEP_PARAMETERS:
             raise ConfigError(f"unknown sweep parameter {parameter!r}")
-        return _validate(sub)
+        return _validate(SWEEP_PARAMETERS[parameter](self, value))
+
+
+# every sweep parameter by name: the config copy that sets it to a value
+SWEEP_PARAMETERS = {
+    "beta": lambda cfg, v: replace(cfg, fastron=replace(cfg.fastron, beta=float(v))),
+    "gamma": lambda cfg, v: replace(cfg, fastron=replace(cfg.fastron, gamma=float(v))),
+    "obstacle_count": lambda cfg, v: replace(
+        cfg, obstacles=replace(cfg.obstacles, count=int(v), randomize_count=False)),
+}
 
 
 def _build(section_cls, data: dict, path: str):
@@ -211,6 +213,8 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"robot.type must be one of {sorted(_ROBOT_DEFAULTS)}")
     if cfg.robot.type == "custom" and not cfg.robot.rods:
         raise ConfigError("custom robot requires robot.rods")
+    if cfg.robot.type != "custom" and cfg.robot.rods is not None:
+        raise ConfigError(f"robot.rods is for robot.type 'custom'; {cfg.robot.type} is fixed")
     if cfg.robot.link_shape not in ("capsule", "box"):
         raise ConfigError("robot.link_shape must be 'capsule' or 'box'")
     ob = cfg.obstacles
@@ -230,8 +234,8 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
     _built("fastron", lambda: (cfg.train_params(), cfg.sampler_params(0)))
     _built("planner", lambda: cfg.plan_query((), (), None, 0))
     pl = cfg.planner
-    if pl.algorithm not in ("rrt", "rrt_connect"):
-        raise ConfigError("planner.algorithm must be 'rrt' or 'rrt_connect'")
+    if pl.algorithm not in PLANNERS:
+        raise ConfigError(f"planner.algorithm must be one of {sorted(PLANNERS)}")
     if pl.min_start_goal_dist < 0:
         raise ConfigError("planner.min_start_goal_dist must be >= 0")
     ev = cfg.eval

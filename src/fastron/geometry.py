@@ -55,6 +55,10 @@ class Box:
         hx, hy, hz = half_extents
         if not (hx > 0.0 and hy > 0.0 and hz > 0.0):
             raise ValueError("box half-extents must be positive")
+        finite = math.isfinite  # bound once: box-link FK builds a box per link
+        if not (finite(cx) and finite(cy) and finite(cz) and finite(hx) and finite(hy)
+                and finite(hz)):
+            raise ValueError("box center and half-extents must be finite")
         self.center: Vec3 = (float(cx), float(cy), float(cz))
         self.half: Vec3 = (float(hx), float(hy), float(hz))
         self.rot: Rot3 = _IDENTITY if rot is None else tuple(tuple(map(float, row)) for row in rot)  # type: ignore[assignment]

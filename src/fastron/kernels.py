@@ -77,15 +77,15 @@ def rq_kernel(x, y, gamma: float) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    t = 1.0 + 0.5 * gamma * _squared_distance(x, y)
-    return float(1.0 / (t * t))
+    # x[None]: the vector form writes into its distance array, which a 0-d result is not
+    return float(rq_kernel_vector(x[None], y, gamma)[0])
 
 
 def rq_kernel_vector(X: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
     """Rational quadratic kernel of every row of ``X`` against ``q``.
 
-    Arithmetic matches :func:`rq_kernel` exactly, so a lazy column fill
-    and a scalar evaluation of the same pair agree bitwise. Leading axes
+    The one kernel formula: :func:`rq_kernel` and the lazy column fill
+    both evaluate it, so they agree bitwise on the same pair. Leading axes
     broadcast: ``X[:, None, :]`` against an (m, d) ``q`` gives the (n, m)
     block of all pairs.
     """

@@ -31,6 +31,7 @@ __all__ = [
     "edge_valid",
     "rrt_plan",
     "rrt_connect_plan",
+    "PLANNERS",
     "verify_plan",
     "repair_plan",
 ]
@@ -211,6 +212,10 @@ def rrt_connect_plan(query: PlanQuery) -> MotionPlan | None:
         tree_a, tree_b = tree_b, tree_a
         swapped = not swapped
     return None
+
+
+# every planner by the name a config selects it with
+PLANNERS = {"rrt": rrt_plan, "rrt_connect": rrt_connect_plan}
 
 
 def verify_plan(plan: MotionPlan, oracle: CheckerFn, resolution: float) -> list[int]:

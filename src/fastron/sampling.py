@@ -84,18 +84,12 @@ def generate_active_set(
     if params.sigma is None:
         raise ValueError("sigma must be resolved before sampling")
     out = np.empty((params.a_max, d), dtype=np.float64)
-    count = 0
-    if support.shape[0]:
-        for _ in range(params.kappa):
-            if count == params.a_max:
-                break
-            for x in support:
-                if count == params.a_max:
-                    break
-                out[count] = _gaussian_in_bounds(rng, x, params.sigma)
-                count += 1
-    if count < params.a_max:
-        out[count:] = rng.uniform(-1.0, 1.0, (params.a_max - count, d))
+    m = support.shape[0]
+    count = min(params.a_max, params.kappa * m)
+    for k in range(count):
+        out[k] = _gaussian_in_bounds(rng, support[k % m], params.sigma)
+    # zero rows draw nothing and leave the generator as it was
+    out[count:] = rng.uniform(-1.0, 1.0, (params.a_max - count, d))
     return out
 
 

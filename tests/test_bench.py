@@ -21,6 +21,7 @@ from fastron.bench.runners import (
 )
 from fastron.bench.scenarios import gap_obstacles
 from fastron.bench.cli import main
+from fastron.planning import PLANNERS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -326,6 +327,19 @@ def test_cli_runtime_error_exit_4(tmp_path, monkeypatch, capsys):
     assert "runtime error: appended points collide" in capsys.readouterr().err
 
 
+def test_cli_planner_fault_exit_4(tmp_path, monkeypatch, capsys):
+    # random_start_goal draws free endpoints, so a planner ValueError is a
+    # fault; it used to be written as plan_found = 0 with exit 0
+    def broken(query):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(PLANNERS, "rrt_connect", broken)
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}, "obstacles": {"count": 2},
+                               "fastron": {"n0": 300}})
+    assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--seeds", "1"]) == 4
+    assert "runtime error: boom" in capsys.readouterr().err
+
+
 def test_cli_mistyped_config_value_exit_2(tmp_path, capsys):
     for data, name in (
         ({"obstacles": {"count": "4"}}, "obstacles.count"),
@@ -336,6 +350,10 @@ def test_cli_mistyped_config_value_exit_2(tmp_path, capsys):
         # these used to exit 4 as runtime errors
         ({"robot": {"type": "custom", "rods": [[1.0, -0.1]]}}, "robot.rods"),
         ({"robot": {"type": "custom", "rods": [["a", 0.1]]}}, "robot.rods"),
+        # these used to exit 0: the fixed rod ran, and every dof2 pose was labelled colliding
+        ({"robot": {"type": "dof2", "rods": [[5, 5]]}}, "robot.rods"),
+        ({"obstacles": {"explicit": [{"center": [float("nan"), 0, 0], "size": 0.3}]}},
+         "obstacles.explicit[0]"),
     ):
         cfg = write_cfg(tmp_path, data)
         assert main(["static", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2

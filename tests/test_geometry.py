@@ -208,6 +208,18 @@ def test_chain_validation():
         KinematicChain([(1.0, 0.1)], link_shape="mesh")
 
 
+@pytest.mark.parametrize("center, half", [
+    ((math.nan, 0.0, 0.0), (0.1, 0.1, 0.1)),
+    ((0.0, math.inf, 0.0), (0.1, 0.1, 0.1)),
+    ((0.0, 0.0, -math.inf), (0.1, 0.1, 0.1)),
+    ((0.0, 0.0, 0.0), (0.1, math.inf, 0.1)),
+])
+def test_box_rejects_non_finite_center_and_half_extents(center, half):
+    # a NaN center used to put every configuration of a dof2 rod in collision
+    with pytest.raises(ValueError, match="finite"):
+        Box(center, half)
+
+
 # ----------------------------------------------------------------------
 # labeling
 
