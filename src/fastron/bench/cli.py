@@ -30,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("static", "accuracy and query timing in a static scenario"),
         ("sweep", "static evaluation across a parameter sweep"),
         ("dynamic", "update cycles against moving obstacles"),
-        ("plan", "motion planning with proxy+verify+repair vs oracle"),
+        ("plan", "proxy plans certified by plan_and_certify (repair re-checks only "
+                 "the edges it adds) vs oracle plans"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON scenario config")

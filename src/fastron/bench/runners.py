@@ -8,7 +8,7 @@ import numpy as np
 
 from ..geometry import make_label_fn
 from ..model import FastronModel
-from ..planning import PLANNERS, PlanQuery, repair_plan, verify_plan
+from ..planning import PLANNERS, plan_and_certify
 from ..sampling import update_cycle
 from .config import ScenarioConfig
 from .report import MetricsRecord
@@ -47,8 +47,10 @@ def median_call_times(fns, queries, calls: int, batch: int) -> list[float]:
     """Median per-call seconds of each function, over batches of at least ``batch`` calls.
 
     Batching amortizes clock resolution and allocator noise; queries are
-    drawn before the clock starts. The functions' batches take turns, so
-    host drift reaches every function alike and ratios of the medians hold.
+    drawn before the clock starts. The functions' batches take turns in
+    rounds, and each batch is timed relative to its round's geometric mean,
+    so host speed divides out even when it steps mid-run; the median round
+    mean scales the results back to seconds.
     """
     times = [[] for _ in fns]
     qn = len(queries)
@@ -65,7 +67,8 @@ def median_call_times(fns, queries, calls: int, batch: int) -> list[float]:
                     qi = 0
             fn_times.append((perf_counter() - t0) / m)
         done += m
-    return [float(np.median(t)) for t in times]
+    speed = np.exp(np.log(times).mean(axis=0))
+    return (np.median(times / speed, axis=1) * np.median(speed)).tolist()
 
 
 def _evaluate(model: FastronModel, label_fn, Q: np.ndarray):
@@ -106,6 +109,34 @@ def _train_static_model(cfg: ScenarioConfig, seed: int, chain, label_fn):
     return model, report, update_time
 
 
+def _static_seed(cfgs, seed: int, model: FastronModel | None, details: list | None):
+    """One seed's record per config (configs differ at most in a sweep parameter);
+    every trained proxy and oracle is timed in one ``median_call_times`` pass."""
+    records, timed = [], []
+    for cfg in cfgs:
+        chain = build_chain(cfg)
+        workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
+        label_fn = make_label_fn(chain, workspace)
+        rec = MetricsRecord(run="static", seed=seed)
+        seed_model = model
+        if model is None:
+            seed_model, _, rec.update_time = _train_static_model(cfg, seed, chain, label_fn)
+            timed += (seed_model.predict, label_fn)
+        holdout = _rng(seed, _S_HOLDOUT).uniform(-1.0, 1.0, (cfg.eval.holdout, chain.dof))
+        rec.accuracy, rec.tpr, rec.tnr = _evaluate(seed_model, label_fn, holdout)
+        rec.support_count = seed_model.support_count
+        records.append(rec)
+        if details is not None:
+            details.append({"chain": chain, "workspace": workspace, "model": seed_model})
+    if timed:
+        queries = list(_rng(seed, _S_TIMING).uniform(-1.0, 1.0, (4096, chain.dof)))
+        ev = cfgs[0].eval
+        times = median_call_times(timed, queries, ev.timing_calls, ev.timing_batch)
+        for rec, proxy, oracle in zip(records, times[::2], times[1::2]):
+            rec.query_time_proxy, rec.query_time_oracle = proxy, oracle
+    return records
+
+
 def run_static_eval(cfg: ScenarioConfig, seeds, return_details: bool = False,
                     model: FastronModel | None = None):
     """Train on a static scenario per seed; report accuracy and query timing.
@@ -115,47 +146,24 @@ def run_static_eval(cfg: ScenarioConfig, seeds, return_details: bool = False,
     ``return_details``, also returns one dict per seed holding its
     ``chain``, ``workspace`` and ``model``.
     """
-    records = []
-    details = []
-    for seed in seeds:
-        chain = build_chain(cfg)
-        workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
-        label_fn = make_label_fn(chain, workspace)
-        rec = MetricsRecord(run="static", seed=seed)
-        seed_model = model
-        if model is None:
-            seed_model, _, rec.update_time = _train_static_model(cfg, seed, chain, label_fn)
-        holdout = _rng(seed, _S_HOLDOUT).uniform(-1.0, 1.0, (cfg.eval.holdout, chain.dof))
-        rec.accuracy, rec.tpr, rec.tnr = _evaluate(seed_model, label_fn, holdout)
-        rec.support_count = seed_model.support_count
-        if model is None:
-            timing_q = _rng(seed, _S_TIMING).uniform(-1.0, 1.0, (4096, chain.dof))
-            queries = [np.ascontiguousarray(q) for q in timing_q]
-            ev = cfg.eval
-            rec.query_time_proxy, rec.query_time_oracle = median_call_times(
-                (seed_model.predict, label_fn), queries, ev.timing_calls, ev.timing_batch
-            )
-        records.append(rec)
-        if return_details:
-            details.append({"chain": chain, "workspace": workspace, "model": seed_model})
+    details = [] if return_details else None
+    records = [rec for seed in seeds for rec in _static_seed([cfg], seed, model, details)]
     if return_details:
         return records, details
     return records
 
 
 def run_sweep(cfg: ScenarioConfig, parameter: str, values, seeds):
-    """Static evaluation per sweep value; long-format records plus means."""
+    """Static evaluation per sweep value (``_static_seed``); long-format records plus means."""
     if not values:
         raise ValueError("sweep values must be non-empty")
-    records = []
-    summary = []
-    for value in values:
-        sub = cfg.with_override(parameter, value)
-        recs = run_static_eval(sub, seeds)
+    subs = [cfg.with_override(parameter, value) for value in values]
+    by_seed = [_static_seed(subs, seed, None, None) for seed in seeds]
+    records, summary = [], []
+    for k, value in enumerate(values):
+        recs = [seed_recs[k] for seed_recs in by_seed]
         for rec in recs:
-            rec.run = "sweep"
-            rec.param = parameter
-            rec.value = float(value)
+            rec.run, rec.param, rec.value = "sweep", parameter, float(value)
         records.extend(recs)
         stats = {}
         for name in ("accuracy", "tpr", "tnr", "support_count",
@@ -204,31 +212,6 @@ def run_dynamic_eval(cfg: ScenarioConfig, seeds) -> list[MetricsRecord]:
     return records
 
 
-def _timed_pipeline(planner, query: PlanQuery, oracle_free, cert_resolution: float):
-    """plan -> verify -> repair with component timings; None if planning fails."""
-    t0 = perf_counter()
-    # random_start_goal draws both endpoints free under both checkers, so a
-    # ValueError here is a fault, and it surfaces as one
-    plan = planner(query)
-    plan_time = perf_counter() - t0
-    if plan is None:
-        return None, plan_time, 0.0, 0.0
-    t0 = perf_counter()
-    invalid = verify_plan(plan, oracle_free, cert_resolution)
-    verify_time = perf_counter() - t0
-    repair_time = 0.0
-    if invalid:
-        t0 = perf_counter()
-        plan = repair_plan(plan, invalid, oracle_free, planner=planner,
-                           edge_resolution=cert_resolution, step_size=query.step_size,
-                           goal_bias=query.goal_bias, max_iterations=query.max_iterations,
-                           seed=query.seed + 7919)
-        repair_time = perf_counter() - t0
-    else:
-        plan.certified = True
-    return plan, plan_time, verify_time, repair_time
-
-
 def _plan_seed(cfg: ScenarioConfig, seed: int, records: list, details: list | None) -> None:
     """Train one seed's model and plan by both routes; appends its records and detail."""
     pl = cfg.planner
@@ -238,12 +221,8 @@ def _plan_seed(cfg: ScenarioConfig, seed: int, records: list, details: list | No
     model, _, _ = _train_static_model(cfg, seed, chain, label_fn)
     oracle_free = lambda p, fn=label_fn: fn(p) == -1
     proxy_free = lambda p, m=model: m.predict(p) == -1
-    pair = random_start_goal(
-        _rng(seed, _S_STARTGOAL),
-        (oracle_free, proxy_free),
-        chain.dof,
-        pl.min_start_goal_dist,
-    )
+    pair = random_start_goal(_rng(seed, _S_STARTGOAL), (oracle_free, proxy_free), chain.dof,
+                             pl.min_start_goal_dist)
     plans = {}
     if details is not None:
         details.append({"chain": chain, "workspace": workspace, "model": model,
@@ -256,7 +235,8 @@ def _plan_seed(cfg: ScenarioConfig, seed: int, records: list, details: list | No
     start, goal = pair
     for route, checker in (("proxy", proxy_free), ("oracle", oracle_free)):
         query = cfg.plan_query(start, goal, checker, seed=_rng(seed, _S_PLAN).integers(0, 2**31))
-        plan, plan_time, verify_time, repair_time = _timed_pipeline(
+        # both endpoints are free under both checkers: a ValueError is a fault
+        plan, plan_time, verify_time, repair_time = plan_and_certify(
             PLANNERS[pl.algorithm], query, oracle_free, pl.edge_resolution / 2.0
         )
         plans[route] = plan

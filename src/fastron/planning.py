@@ -2,9 +2,10 @@
 
 Planners only see a predicate ``checker(point) -> bool`` (True = free), so
 the same code plans against the learned proxy or the geometric oracle.
-Plans produced with an approximate checker are certified afterwards:
+Plans from an approximate checker are certified by ``plan_and_certify``:
 verify finds the edges an oracle rejects, repair excises them with one
-waypoint of margin and re-plans the gaps with the oracle as checker.
+waypoint of margin, re-plans the gaps with the oracle as checker and
+re-checks only the edges it adds.
 
 Both planners grow their trees with one routine (``_Tree`` plus
 ``_extend``: nearest node, one bounded step, one edge check) and share
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "PLANNERS",
     "verify_plan",
     "repair_plan",
+    "plan_and_certify",
 ]
 
 CheckerFn = Callable[[np.ndarray], bool]
@@ -259,46 +262,62 @@ def repair_plan(
 ) -> MotionPlan | None:
     """Excise invalid segments and bridge them with oracle-checked plans.
 
-    Each window is re-planned between its (oracle-free) end waypoints. If
-    any bridge fails, the whole query is re-planned start-to-goal with the
-    oracle. The result is re-verified and returned certified, or None.
+    Each window is re-planned between its (oracle-free) end waypoints, the
+    k-th from ``seed + k``. If any bridge fails, the whole query is
+    re-planned start-to-goal with the oracle. Only the added edges are
+    verified (kept ones passed ``verify_plan`` already); the planner's own
+    checks do not suffice, as RRT-Connect checks its goal tree's edges in
+    reverse, which samples other points. Returns the certified plan, or None.
     """
     if not invalid:
         raise ValueError("repair_plan needs a non-empty invalid edge list")
     wps = plan.waypoints
     windows = _excision_windows(invalid, len(wps))
 
-    def _query(a, b, k):
-        return PlanQuery(a, b, oracle, edge_resolution=edge_resolution, step_size=step_size,
-                         goal_bias=goal_bias, max_iterations=max_iterations, seed=seed + k)
+    def _plan(a, b, k):
+        try:
+            return planner(PlanQuery(a, b, oracle, edge_resolution=edge_resolution,
+                                     step_size=step_size, goal_bias=goal_bias,
+                                     max_iterations=max_iterations, seed=seed + k))
+        except ValueError:
+            return None  # an end point the oracle rejects
 
-    new_wps: list[np.ndarray] = []
-    cursor = 0
-    fallback = False
+    def _certified(parts, waypoints):
+        # oracle-planned parts should never fail their own re-check
+        ok = not any(verify_plan(part, oracle, edge_resolution) for part in parts)
+        return MotionPlan(waypoints, certified=True) if ok else None
+
+    bridges, new_wps, cursor = [], [], 0
     for k, (s, e) in enumerate(windows):
-        try:
-            bridge = planner(_query(wps[s], wps[e], k))
-        except ValueError:
-            bridge = None  # a window endpoint the oracle rejects
+        bridge = _plan(wps[s], wps[e], k)
         if bridge is None:
-            fallback = True
-            break
-        new_wps.extend(wps[cursor : s + 1])
-        new_wps.extend(bridge.waypoints[1:])
+            # a bridge failed: re-plan the entire query against the oracle
+            full = _plan(wps[0], wps[-1], len(windows))
+            return None if full is None else _certified([full], full.waypoints)
+        bridges.append(bridge)
+        new_wps += wps[cursor : s + 1] + bridge.waypoints[1:]
         cursor = e + 1
-    if fallback:
-        # bridge failed: re-plan the entire query against the oracle
-        try:
-            full = planner(_query(wps[0], wps[-1], len(windows)))
-        except ValueError:
-            return None
-        if full is None:
-            return None
-        new_wps = full.waypoints
-    else:
-        new_wps.extend(wps[cursor:])
-    repaired = MotionPlan(new_wps)
-    if verify_plan(repaired, oracle, edge_resolution):
-        return None  # oracle-checked bridges should never fail re-verification
-    repaired.certified = True
-    return repaired
+    return _certified(bridges, new_wps + wps[cursor:])
+
+
+def plan_and_certify(planner, query: PlanQuery, oracle: CheckerFn, resolution: float):
+    """Plan, verify against ``oracle`` at ``resolution``, repair what fails.
+
+    Returns ``(plan, plan_s, verify_s, repair_s)``: the certified plan or
+    None, and each stage's seconds (0.0 for a stage not run). Repair reuses
+    the planner and query settings with its own seed stream.
+    """
+    t0 = perf_counter()
+    plan = planner(query)
+    t1 = perf_counter()
+    if plan is None:
+        return None, t1 - t0, 0.0, 0.0
+    invalid = verify_plan(plan, oracle, resolution)
+    t2 = perf_counter()
+    if not invalid:
+        plan.certified = True
+        return plan, t1 - t0, t2 - t1, 0.0
+    plan = repair_plan(plan, invalid, oracle, planner=planner, edge_resolution=resolution,
+                       step_size=query.step_size, goal_bias=query.goal_bias,
+                       max_iterations=query.max_iterations, seed=query.seed + 7919)
+    return plan, t1 - t0, t2 - t1, perf_counter() - t2

@@ -3,8 +3,11 @@
 The golden files under ``tests/golden/`` hold, for reduced runs of the
 shipped configs, the CSV cells outside the ``*_ns`` timing columns and
 the bytes of a saved model file, and for the 40 gap-scenario queries a
-digest of each plan's waypoint bytes with its iteration count. They were
-generated from commit ``be8a4a4`` with
+digest of each plan's waypoint bytes with its iteration count, and of
+each certified-route plan with its repair and ``certified`` flags. They
+were generated from commit ``be8a4a4`` (``gap_certified.txt`` from
+``a48e0a4``, built from ``verify_plan`` and ``repair_plan`` as the route
+calls them) with
 
     PYTHONPATH=src python tests/test_identity.py
 
@@ -38,7 +41,7 @@ from fastron.bench.runners import (
 )
 from fastron.bench.scenarios import build_chain, build_workspace, random_start_goal
 from fastron.geometry import make_label_fn
-from fastron.planning import PlanQuery, rrt_connect_plan, rrt_plan
+from fastron.planning import PlanQuery, repair_plan, rrt_connect_plan, rrt_plan, verify_plan
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -99,10 +102,12 @@ def _gap_plans(tmp_dir: Path) -> dict[str, bytes]:
     proxy_free = lambda p: model.predict(p) == -1
     pl = cfg.planner
     lines = []
+    start_goal = []
     for k in range(GAP_QUERIES):
         start, goal = random_start_goal(np.random.default_rng(1000 + k),
                                         (oracle_free, proxy_free), chain.dof,
                                         pl.min_start_goal_dist)
+        start_goal.append((start, goal))
         route, checker = ("oracle", oracle_free) if k % 4 == 0 else ("proxy", proxy_free)
         for name, planner in (("rrt", rrt_plan), ("rrt_connect", rrt_connect_plan)):
             plan = planner(PlanQuery(start, goal, checker, edge_resolution=pl.edge_resolution,
@@ -115,7 +120,34 @@ def _gap_plans(tmp_dir: Path) -> dict[str, bytes]:
                 result = (f"iterations={plan.iterations} waypoints={len(plan.waypoints)} "
                           f"sha256={digest.hexdigest()}")
             lines.append(f"{k} {route} {name} {result}\n")
-    return {"gap_plans.txt": "".join(lines).encode()}
+    return {"gap_plans.txt": "".join(lines).encode(),
+            "gap_certified.txt": _gap_certified(cfg, start_goal, oracle_free, proxy_free)}
+
+
+def _gap_certified(cfg, start_goal, oracle_free, proxy_free) -> bytes:
+    # the certified route on every gap query planned with the proxy: plan,
+    # verify at half the edge resolution, repair what fails, with the
+    # keyword arguments the route passes to repair_plan
+    pl, cert_res = cfg.planner, cfg.planner.edge_resolution / 2.0
+    lines = []
+    for k, (start, goal) in enumerate(start_goal):
+        plan = rrt_connect_plan(cfg.plan_query(start, goal, proxy_free, seed=k))
+        invalid = verify_plan(plan, oracle_free, cert_res)
+        if invalid:
+            plan = repair_plan(plan, invalid, oracle_free, planner=rrt_connect_plan,
+                               edge_resolution=cert_res, step_size=pl.step_size,
+                               goal_bias=pl.goal_bias, max_iterations=pl.max_iterations,
+                               seed=k + 7919)
+        else:
+            plan.certified = True
+        if plan is None:
+            result = "None"
+        else:
+            digest = hashlib.sha256(b"".join(w.tobytes() for w in plan.waypoints))
+            result = (f"certified={plan.certified} waypoints={len(plan.waypoints)} "
+                      f"sha256={digest.hexdigest()}")
+        lines.append(f"{k} repaired={bool(invalid)} {result}\n")
+    return "".join(lines).encode()
 
 
 ARTIFACTS = {

@@ -5,6 +5,7 @@ from fastron.planning import (
     MotionPlan,
     PlanQuery,
     edge_valid,
+    plan_and_certify,
     repair_plan,
     rrt_connect_plan,
     rrt_plan,
@@ -284,3 +285,74 @@ def test_repair_overall_failure_when_oracle_rejects_start():
     invalid = verify_plan(plan, oracle, 0.05)
     assert invalid == [0]
     assert repair_plan(plan, invalid, oracle, edge_resolution=0.05, seed=3) is None
+
+
+def _edge_samples(a, b, resolution):
+    seen = []
+    assert edge_valid(a, b, lambda p: seen.append(p.tobytes()) is None, resolution)
+    return seen
+
+
+def test_repair_checks_no_kept_edge_again():
+    # one invalid edge in the middle of a long straight plan: its window
+    # spans waypoints 3..6, so edges 0-2 and 6-8 are kept as they are
+    oracle = Disc([0.0, 0.0], 0.05)
+    wps = [np.array([x, 0.0]) for x in np.linspace(-0.9, 0.9, 10)]
+    plan = MotionPlan(wps)
+    invalid = verify_plan(plan, oracle, 0.05)
+    assert invalid == [4]
+    kept = {p for i in (0, 1, 2, 6, 7, 8) for p in _edge_samples(wps[i], wps[i + 1], 0.05)}
+    kept -= {wps[3].tobytes(), wps[6].tobytes()}  # the bridge's own end points
+    queried = []
+
+    def recording(p):
+        queried.append(p.tobytes())
+        return oracle(p)
+
+    fixed = repair_plan(plan, invalid, recording, edge_resolution=0.05, seed=0)
+    assert fixed is not None and fixed.certified
+    assert [w.tobytes() for w in fixed.waypoints[:4]] == [w.tobytes() for w in wps[:4]]
+    assert [w.tobytes() for w in fixed.waypoints[-4:]] == [w.tobytes() for w in wps[-4:]]
+    assert verify_plan(fixed, oracle, 0.05) == []
+    assert queried and kept.isdisjoint(queried)
+
+
+def test_repair_rejects_a_bridge_that_fails_the_oracle():
+    # a planner that bridges straight through the obstacle: the bridge's
+    # re-check must catch it
+    oracle = Disc([0.0, 0.0], 0.12)
+    wps = [np.array([x, 0.0]) for x in (-0.6, -0.3, 0.0, 0.3, 0.6)]
+    straight = lambda q: MotionPlan([q.start, q.goal])  # noqa: E731
+    plan = MotionPlan(wps)
+    invalid = verify_plan(plan, oracle, 0.05)
+    assert repair_plan(plan, invalid, oracle, planner=straight, edge_resolution=0.05) is None
+
+
+def _wall_query(checker, seed=2):
+    return PlanQuery(np.array([-0.6, 0.6]), np.array([0.6, 0.6]), checker, seed=seed)
+
+
+def test_plan_and_certify_without_repair():
+    oracle = WallWithGap()
+    plan, plan_s, verify_s, repair_s = plan_and_certify(rrt_connect_plan, _wall_query(oracle),
+                                                        oracle, 0.05)
+    assert plan is not None and plan.certified
+    assert plan_s > 0.0 and verify_s > 0.0
+    assert repair_s == 0.0
+
+
+def test_plan_and_certify_when_planning_fails():
+    result = plan_and_certify(lambda q: None, _wall_query(all_free), WallWithGap(), 0.05)
+    assert result[0] is None
+    assert result[2:] == (0.0, 0.0)
+
+
+def test_plan_and_certify_repairs_a_proxy_plan():
+    # the proxy sees no wall, so its plan crosses it and must be repaired
+    plan, _, _, repair_s = plan_and_certify(rrt_connect_plan, _wall_query(all_free),
+                                            WallWithGap(), 0.025)
+    assert plan is not None and plan.certified
+    assert repair_s > 0.0
+    assert verify_plan(plan, WallWithGap(), 0.025) == []
+    np.testing.assert_array_equal(plan.waypoints[0], [-0.6, 0.6])
+    np.testing.assert_array_equal(plan.waypoints[-1], [0.6, 0.6])
