@@ -80,6 +80,14 @@ class Box:
             cz + r2[0] * sx + r2[1] * sy + r2[2] * sz,
         )
 
+    @classmethod
+    def _posed(cls, center: Vec3, half: Vec3, rot: Rot3) -> "Box":
+        # a box link of forward kinematics: plain-float tuples, finite and
+        # positive by construction, stored without __init__'s checks and rebuild
+        box = object.__new__(cls)
+        box.center, box.half, box.rot = center, half, rot
+        return box
+
     def centroid(self) -> Vec3:
         return self.center
 
@@ -309,8 +317,14 @@ class KinematicChain:
         raising the rod, R's first column, toward +z. Entries sum left to
         right from 0.0 as ``sum()`` does up to Python 3.11, bitwise equal to a
         generic 3 x 3 product; the P[2][1] = 0 term is skipped, which is exact.
+        Raises on joint values outside the limits.
         """
         self._check_limits(q)
+        return self._pose(q)
+
+    def _pose(self, q) -> list:
+        # forward kinematics of joints already within limits, such as those
+        # of joints_from_input
         bodies = []
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
         bx, by, bz = 0.0, 0.0, 0.0
@@ -333,7 +347,7 @@ class KinematicChain:
             else:
                 mid = ((bx + tx) * 0.5, (by + ty) * 0.5, (bz + tz) * 0.5)
                 rot = ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22))
-                bodies.append(Box(mid, (length * 0.5 + radius, radius, radius), rot))
+                bodies.append(Box._posed(mid, (length * 0.5 + radius, radius, radius), rot))
             bx, by, bz = tx, ty, tz
         return bodies
 
@@ -405,20 +419,31 @@ class Workspace:
         return Workspace(obstacles, velocities, self.bounds)
 
 
-def kcd_label(chain: KinematicChain, workspace: Workspace, q) -> int:
-    """Ground-truth label of a joint configuration: +1 collision, -1 free."""
-    for link in chain.forward_kinematics(q):
-        for obs in workspace.obstacles:
+def _links_label(links, obstacles) -> int:
+    for link in links:
+        for obs in obstacles:
             if gjk_intersect(link, obs):
                 return 1
     return -1
 
 
+def kcd_label(chain: KinematicChain, workspace: Workspace, q) -> int:
+    """Ground-truth label of a joint configuration: +1 collision, -1 free.
+
+    Raises on joint values outside the limits.
+    """
+    return _links_label(chain.forward_kinematics(q), workspace.obstacles)
+
+
 def make_label_fn(chain: KinematicChain, workspace: Workspace):
-    """Input-space labeler: the joint mapping, then :func:`kcd_label`; the timing baseline."""
-    joints = chain.joints_from_input
+    """Input-space labeler: the joint mapping, then :func:`kcd_label`; the timing baseline.
+
+    The mapping validates and clamps the joints, so they are posed
+    without a second limit check.
+    """
+    joints, pose, obstacles = chain.joints_from_input, chain._pose, workspace.obstacles
 
     def label(p) -> int:
-        return kcd_label(chain, workspace, joints(p))
+        return _links_label(pose(joints(p)), obstacles)
 
     return label

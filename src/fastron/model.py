@@ -31,6 +31,11 @@ from .kernels import LazyGramMatrix
 
 __all__ = ["DuplicatePointError", "TrainParams", "TrainReport", "FastronModel"]
 
+# corrections after a removal, without margins turning all-positive again,
+# at which train gives the removal up: it restores the snapshot taken just
+# before it and stops
+EARLY_REVERT_CORRECTIONS = 400
+
 
 class DuplicatePointError(ValueError):
     """A dataset would contain two bitwise-identical configurations."""
@@ -54,13 +59,20 @@ class TrainParams:
 
 @dataclass
 class TrainReport:
-    """Instrumentation returned by a training run."""
+    """Instrumentation returned by a training run.
+
+    ``reverted`` says the run ended on the snapshot taken before its last
+    removal; ``early_stop`` says it got there because that removal was
+    followed by ``EARLY_REVERT_CORRECTIONS`` corrections without margins
+    turning all-positive again, rather than at the end of the run.
+    """
 
     iterations_used: int = 0
     corrections: int = 0
     removals: int = 0
     final_misclassified: int = 0
     reverted: bool = False
+    early_stop: bool = False
     cap_blocked: bool = False
     loss_trace: list[float] | None = None
     step_kinds: list[str] | None = None
@@ -221,8 +233,11 @@ class FastronModel:
         margins are positive, after snapshotting the state), or stops.
         When the support cap blocks adding the worst point, one removal
         is attempted before retrying; if nothing can be removed, training
-        terminates. If the final state misclassifies more points than the
-        last snapshot, the snapshot is restored.
+        terminates. A removal followed by ``EARLY_REVERT_CORRECTIONS``
+        corrections, with some margin still <= 0 after them, is given up:
+        the snapshot taken just before it is restored and training stops
+        (``early_stop``). Otherwise, if the final state misclassifies more
+        points than the last snapshot, the snapshot is restored.
         """
         p = self.params
         report = TrainReport()
@@ -241,17 +256,25 @@ class FastronModel:
         step = np.empty(n)
         if record_loss:
             report.loss_trace.append(self._trace_loss(by))
+        since_removal = 0  # corrections since the last removal
         for _ in range(p.iter_max):
             report.iterations_used += 1
             np.multiply(y, F, out=yF)
             i = int(yF.argmin())  # ties resolve to the lowest index
             misclassified = yF[i] <= 0.0
+            if misclassified and report.removals and since_removal == EARLY_REVERT_CORRECTIONS:
+                # the last removal has not been repaired: give it up
+                alpha[:] = alpha_before
+                F[:] = F_before
+                report.reverted = report.early_stop = True
+                break
             if misclassified and (alpha[i] != 0.0 or np.count_nonzero(alpha) < p.s_max):
                 delta = by[i] - F[i]
                 alpha[i] += delta
                 np.multiply(gram.ensure_column(X, i), delta, out=step)
                 F += step
                 report.corrections += 1
+                since_removal += 1
                 kind = "correction"
             else:
                 # All margins positive, or the cap blocks the needed addition:
@@ -262,6 +285,7 @@ class FastronModel:
                     report.cap_blocked = bool(misclassified)
                     break
                 report.removals += 1
+                since_removal = 0
                 kind = "removal"
             if record_loss:
                 report.loss_trace.append(self._trace_loss(by))

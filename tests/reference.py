@@ -24,7 +24,7 @@ def eager_gram(X: np.ndarray, gamma: float) -> np.ndarray:
     return K
 
 
-def reference_train(X, y, gamma, beta, iter_max, s_max, alpha=None, F=None):
+def reference_train(X, y, gamma, beta, iter_max, s_max, early_revert, alpha=None, F=None):
     """Greedy training over the eager Gram matrix, as the model docstring states it.
 
     Each pass corrects the worst margin ``y_i F_i`` (ties to the lowest
@@ -32,7 +32,9 @@ def reference_train(X, y, gamma, beta, iter_max, s_max, alpha=None, F=None):
     for -1), unless that would add a support point beyond ``s_max``.
     Otherwise the state is snapshotted and the support point with the
     largest positive resultant margin ``y_i (F_i - alpha_i)`` is removed;
-    when none qualifies the run stops. A final state that misclassifies
+    when none qualifies the run stops. A pass that finds a margin <= 0
+    after ``early_revert`` corrections since the last removal restores
+    the snapshot and stops instead. A final state that misclassifies
     more points than the snapshot is replaced by it. Starts from zero
     weights unless ``alpha`` and ``F`` are given. Returns
     ``(alpha, F, counts)`` with the ``TrainReport`` counters.
@@ -43,19 +45,26 @@ def reference_train(X, y, gamma, beta, iter_max, s_max, alpha=None, F=None):
     F = np.zeros(n) if F is None else np.array(F, dtype=float)
     target = np.where(y > 0.0, beta, 1.0) * y
     counts = dict(iterations_used=0, corrections=0, removals=0, reverted=False,
-                  cap_blocked=False)
+                  early_stop=False, cap_blocked=False)
     snap = (alpha.copy(), F.copy())
+    since_removal = None  # corrections since the last removal, once there is one
     for _ in range(iter_max):
         counts["iterations_used"] += 1
         margins = y * F
         i = int(np.argmin(margins))
         blocked = False
         if margins[i] <= 0.0:
+            if since_removal == early_revert:
+                alpha, F = snap
+                counts["reverted"] = counts["early_stop"] = True
+                break
             if alpha[i] != 0.0 or np.count_nonzero(alpha) < s_max:
                 delta = target[i] - F[i]
                 alpha[i] += delta
                 F = F + delta * K[:, i]
                 counts["corrections"] += 1
+                if since_removal is not None:
+                    since_removal += 1
                 continue
             blocked = True
         snap = (alpha.copy(), F.copy())
@@ -65,6 +74,7 @@ def reference_train(X, y, gamma, beta, iter_max, s_max, alpha=None, F=None):
             F = F - alpha[j] * K[:, j]
             alpha[j] = 0.0
             counts["removals"] += 1
+            since_removal = 0
             continue
         counts["cap_blocked"] = blocked
         break

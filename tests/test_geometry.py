@@ -173,6 +173,20 @@ def test_fk_out_of_limits_rejected():
         chain.forward_kinematics([4.0, 0.1])
 
 
+@pytest.mark.parametrize("make_chain", [two_dof_rod, four_dof_rod], ids=["dof2", "dof4"])
+def test_fk_and_kcd_label_keep_their_limit_guard(make_chain):
+    # the labeler skips the second limit check; the public entry points keep it
+    chain = make_chain()
+    ws = Workspace([Box((0.5, 0.0, 0.2), (0.15, 0.15, 0.15))])
+    for k, bad in ((0, math.pi + 1e-6), (1, -1e-6), (1, math.pi + 1e-6), (0, math.nan)):
+        q = [0.0, 0.5] * (chain.dof // 2)
+        q[k] = bad
+        with pytest.raises(ValueError, match="outside limits"):
+            chain.forward_kinematics(q)
+        with pytest.raises(ValueError, match="outside limits"):
+            kcd_label(chain, ws, q)
+
+
 def test_fk_lipschitz_continuity():
     # ||tip(q + d) - tip(q)|| <= L ||d|| for total length L
     chain = four_dof_rod()
@@ -206,6 +220,19 @@ def test_chain_validation():
         KinematicChain([(1.0, 0.0)])
     with pytest.raises(ValueError):
         KinematicChain([(1.0, 0.1)], link_shape="mesh")
+
+
+def test_box_normalises_rows_to_plain_floats():
+    # box links of forward kinematics skip this, as their rows are plain floats
+    eye = np.eye(3)
+    for rot in (eye, [list(row) for row in eye], tuple(map(tuple, eye))):
+        box = Box(np.zeros(3), [0.1, 0.2, 0.3], rot)
+        assert box.rot == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        assert all(type(x) is float for row in box.rot for x in row)
+        assert all(type(x) is float for x in box.center + box.half)
+    link = two_dof_rod(link_shape="box").forward_kinematics([0.3, 0.4])[0]
+    assert type(link.rot) is tuple and all(type(row) is tuple for row in link.rot)
+    assert all(type(x) is float for x in link.center + link.half + sum(link.rot, ()))
 
 
 @pytest.mark.parametrize("center, half", [
@@ -278,15 +305,17 @@ def test_label_fn_matches_kcd_label():
 
 @pytest.mark.parametrize("make_chain", [two_dof_rod, four_dof_rod], ids=["dof2", "dof4"])
 def test_label_fn_and_from_input_space_feed_fk_the_same_joints(make_chain):
+    # the labeler poses the links through the unguarded _pose, since its
+    # joint mapping has validated and clamped them already
     chain = make_chain()
     fed = []
-    fk = chain.forward_kinematics
+    fk = chain._pose
 
     def recording_fk(q):
         fed.append(np.array(q, dtype=np.float64))
         return fk(q)
 
-    chain.forward_kinematics = recording_fk
+    chain._pose = recording_fk
     label = make_label_fn(chain, Workspace([Box((0.5, 0.0, 0.2), (0.15, 0.15, 0.15))]))
     P = np.random.default_rng(7).uniform(-1, 1, (1000, chain.dof))
     P[:4] = np.sign(P[:4])  # points on the limits

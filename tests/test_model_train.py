@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fastron.model as model_module
 from fastron.model import FastronModel, TrainParams
 
 from reference import eager_gram, model_loss, reference_train
@@ -213,7 +214,7 @@ def test_train_report_invariant_unbounded_runs():
 
 
 REPORT_COUNTS = ("iterations_used", "corrections", "removals", "final_misclassified",
-                 "reverted", "cap_blocked")
+                 "reverted", "early_stop", "cap_blocked")
 
 
 def assert_matches_reference(m, rep, alpha, F, counts):
@@ -230,27 +231,36 @@ def assert_matches_reference(m, rep, alpha, F, counts):
     gamma=st.sampled_from([3.0, 30.0]),
     s_max=st.integers(1, 40),
     iter_max=st.integers(1, 120),
+    limit=st.integers(1, 20),
     seed=st.integers(0, 2**32 - 1),
 )
 # the warm run reverts after a removal; the cold run is cap-blocked, the warm one reverts
-@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=8, iter_max=25, seed=1)
-@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=8, iter_max=25, seed=19)
-def test_train_matches_reference_loop_bitwise(d, n, beta, gamma, s_max, iter_max, seed):
-    # a small s_max makes the cap block, a small iter_max truncates; the
-    # second run warm-starts after relabelling, as an update cycle does,
-    # and may meet y_i alpha_i < 0
+@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=8, iter_max=25, limit=20, seed=1)
+@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=8, iter_max=25, limit=20, seed=19)
+# the warm run stops early: after a removal, and to a cap-blocked snapshot
+@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=8, iter_max=25, limit=1, seed=1)
+@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=8, iter_max=25, limit=1, seed=19)
+# the warm run stops early on its last pass before iter_max
+@example(d=2, n=20, beta=1.0, gamma=3.0, s_max=12, iter_max=25, limit=4, seed=80845330)
+def test_train_matches_reference_loop_bitwise(d, n, beta, gamma, s_max, iter_max, limit, seed):
+    # a small s_max makes the cap block, a small iter_max truncates and a
+    # small early-revert limit gives removals up; the second run
+    # warm-starts after relabelling, as an update cycle does, and may meet
+    # y_i alpha_i < 0
     rng = np.random.default_rng(seed)
     X, y = random_dataset(rng, n, d)
     kw = dict(gamma=gamma, beta=beta, s_max=s_max, iter_max=iter_max)
-    m = make_model(X, y, **kw)
-    rep = m.train()
-    alpha, F, counts = reference_train(X, y, gamma, beta, iter_max, s_max)
-    assert_matches_reference(m, rep, alpha, F, counts)
-    y2 = np.where(rng.random(n) < 0.3, -y, y)
-    m.set_labels(y2)
-    rep = m.train()
-    alpha, F, counts = reference_train(X, y2, gamma, beta, iter_max, s_max, alpha, F)
-    assert_matches_reference(m, rep, alpha, F, counts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "EARLY_REVERT_CORRECTIONS", limit)
+        m = make_model(X, y, **kw)
+        rep = m.train()
+        alpha, F, counts = reference_train(X, y, gamma, beta, iter_max, s_max, limit)
+        assert_matches_reference(m, rep, alpha, F, counts)
+        y2 = np.where(rng.random(n) < 0.3, -y, y)
+        m.set_labels(y2)
+        rep = m.train()
+        alpha, F, counts = reference_train(X, y2, gamma, beta, iter_max, s_max, limit, alpha, F)
+        assert_matches_reference(m, rep, alpha, F, counts)
 
 
 @pytest.mark.parametrize("kw, field", [

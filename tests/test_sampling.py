@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+import fastron.model as model_module
+from fastron.bench.config import load_config
+from fastron.bench.runners import _S_SCENARIO, _rng
+from fastron.bench.scenarios import build_chain, build_workspace
+from fastron.geometry import make_label_fn
 from fastron.model import FastronModel, TrainParams
 from fastron.sampling import SamplerParams, generate_active_set, resolved_sigma, update_cycle
 
@@ -211,3 +216,45 @@ def test_nonzero_weight_implies_computed_gram_column():
         oracle.flip = cycle == 2  # a relabel pass that inverts every label
         update_cycle(model, oracle, params)
         check(model)
+
+
+def test_churning_cycle_stops_early_on_the_snapshot_before_its_removal():
+    # the benchmark's moving scene: 4 cubes of side 0.12-0.2 moving 0.02
+    # per step, sampler seed 0. Its second cycle removes a point and then
+    # cannot get every margin positive again; it used to run to iter_max
+    cfg = load_config({
+        "robot": {"type": "dof2"},
+        "obstacles": {"count": 4, "randomize_count": False, "size_range": [0.12, 0.2],
+                      "motion_steps": 2, "motion_speed": 0.02},
+        "fastron": {"gamma": 30.0, "beta": 1.0, "n0": 2000, "a_max": 500, "kappa": 4},
+    })
+    chain = build_chain(cfg)
+    workspace = build_workspace(cfg, _rng(0, _S_SCENARIO), chain)
+    params = cfg.train_params()
+    model = FastronModel(params, dim=chain.dof, capacity=params.s_max + cfg.fastron.a_max)
+    # train snapshots (alpha, F) just before each removal attempt
+    snapshots, ends = [], []
+    remove, train = model.remove_redundant, model.train
+
+    def recording_remove():
+        snapshots.append((model.alpha.copy(), model.F.copy()))
+        return remove()
+
+    def recording_train():
+        report = train()
+        ends.append((report, model.alpha.copy(), model.F.copy(), snapshots[-1]))
+        return report
+
+    model.remove_redundant, model.train = recording_remove, recording_train
+    for step in range(2):
+        if step:
+            workspace = workspace.stepped()
+        update_cycle(model, make_label_fn(chain, workspace), cfg.sampler_params(0))
+    report, alpha, F, (snap_alpha, snap_F) = ends[1]
+    assert report.early_stop and report.reverted
+    assert report.removals > 0
+    assert report.corrections >= model_module.EARLY_REVERT_CORRECTIONS
+    assert report.iterations_used < params.iter_max
+    assert alpha.tobytes() == snap_alpha.tobytes()
+    assert F.tobytes() == snap_F.tobytes()
+    assert report.final_misclassified == 0
