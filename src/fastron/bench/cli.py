@@ -15,7 +15,8 @@ import numpy as np
 from ..model import FastronModel
 from .config import SWEEP_PARAMETERS, ConfigError, load_config
 from .report import emit_report
-from .runners import run_dynamic_eval, run_planning_eval, run_static_eval, run_sweep
+from .runners import (Scene, run_dynamic_eval, run_planning_eval, run_static_eval, run_sweep,
+                      static_seeds)
 
 __all__ = ["main"]
 
@@ -42,10 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="first seed index, for CI sharding")
         p.add_argument("--assert", dest="check_asserts", action="store_true",
                        help="exit 3 if config asserts fail on aggregated metrics")
-        p.add_argument("--save-model", default=None,
-                       help="write the model trained for the first seed (fastron v1 text)")
-        p.add_argument("--load-model", default=None,
-                       help="evaluate a saved model instead of training (static only)")
+        if name == "static":
+            models = p.add_mutually_exclusive_group()
+            models.add_argument("--save-model", default=None,
+                                help="write the model trained for the first seed (fastron v1 text)")
+            models.add_argument("--load-model", default=None,
+                                help="evaluate a saved model instead of training")
         if name == "sweep":
             p.add_argument("--parameter", required=True, choices=sorted(SWEEP_PARAMETERS))
             p.add_argument("--values", required=True,
@@ -92,9 +95,9 @@ def main(argv=None) -> int:
                 records = run_static_eval(cfg, seeds, model=FastronModel.load(args.load_model))
             elif args.save_model is not None:
                 # only the first seed's model is kept: each holds an n0 x n0 Gram buffer
-                records, details = run_static_eval(cfg, seeds[:1], return_details=True)
-                details[0]["model"].save(args.save_model)
-                records += run_static_eval(cfg, seeds[1:])
+                [(record, model)] = static_seeds([Scene(cfg, seeds[0])])
+                model.save(args.save_model)
+                records = [record] + run_static_eval(cfg, seeds[1:])
             else:
                 records = run_static_eval(cfg, seeds)
         elif args.command == "sweep":

@@ -15,6 +15,9 @@ from .report import MetricsRecord
 from .scenarios import build_chain, build_workspace, random_start_goal
 
 __all__ = [
+    "Scene",
+    "static_seeds",
+    "plan_seed",
     "run_static_eval",
     "run_sweep",
     "run_dynamic_eval",
@@ -22,13 +25,51 @@ __all__ = [
     "median_call_times",
 ]
 
-# RNG stream tags: every consumer of randomness gets its own child stream,
-# so held-out sets are disjoint from training data by construction
-_S_SCENARIO, _S_TRAIN, _S_HOLDOUT, _S_TIMING, _S_STARTGOAL, _S_PLAN = range(6)
 
+class Scene:
+    """Seed ``seed`` of ``cfg``: its robot ``chain``, obstacle ``workspace`` and oracle ``label``.
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    Every consumer of randomness draws its own child stream, ``rng(name)``,
+    so held-out sets are disjoint from training data by construction.
+    """
+
+    STREAMS = ("scenario", "train", "holdout", "timing", "start_goal", "plan")
+
+    def __init__(self, cfg: ScenarioConfig, seed: int):
+        self.cfg, self.seed = cfg, seed
+        self.chain = build_chain(cfg)
+        self.workspace = build_workspace(cfg, self.rng("scenario"), self.chain)
+        self.label = make_label_fn(self.chain, self.workspace)
+
+    def rng(self, stream: str) -> np.random.Generator:
+        key = (self.STREAMS.index(stream),)
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+
+    def free(self, p) -> bool:
+        return self.label(p) == -1
+
+    def new_model(self) -> FastronModel:
+        params = self.cfg.train_params()
+        return FastronModel(params, dim=self.chain.dof,
+                            capacity=params.s_max + self.cfg.fastron.a_max)
+
+    def train(self) -> tuple[FastronModel, float]:
+        """Label a fresh uniform dataset, train and sparsify; returns the model and its seconds."""
+        n0 = self.cfg.resolved_n0()
+        X = self.rng("train").uniform(-1.0, 1.0, (n0, self.chain.dof))
+        model = self.new_model()
+        t0 = perf_counter()
+        model.set_data(X, np.fromiter(map(self.label, X), dtype=np.float64, count=n0))
+        model.train()
+        _check_lazy_fill(model)
+        model.sparsify()
+        return model, perf_counter() - t0
+
+    def start_goal(self, model: FastronModel):
+        """The seed's start/goal pair, free under the oracle and ``model``; None if none is found."""
+        return random_start_goal(self.rng("start_goal"),
+                                 (self.free, lambda p: model.predict(p) == -1),
+                                 self.chain.dof, self.cfg.planner.min_start_goal_dist)
 
 
 class CountingLabeler:
@@ -71,15 +112,17 @@ def median_call_times(fns, queries, calls: int, batch: int) -> list[float]:
     return (np.median(times / speed, axis=1) * np.median(speed)).tolist()
 
 
-def _evaluate(model: FastronModel, label_fn, Q: np.ndarray):
+def _evaluate(rec: MetricsRecord, model: FastronModel, label_fn, scene: Scene, rng) -> None:
+    """Score ``model`` against ``label_fn`` on the scene's holdout count of points from ``rng``."""
+    Q = rng.uniform(-1.0, 1.0, (scene.cfg.eval.holdout, scene.chain.dof))
     truth = np.fromiter((label_fn(q) for q in Q), dtype=np.int64, count=len(Q))
     pred = model.predict_batch(Q)
-    acc = float(np.mean(pred == truth))
     pos = truth == 1
     neg = ~pos
-    tpr = float(np.mean(pred[pos] == 1)) if pos.any() else None
-    tnr = float(np.mean(pred[neg] == -1)) if neg.any() else None
-    return acc, tpr, tnr
+    rec.accuracy = float(np.mean(pred == truth))
+    rec.tpr = float(np.mean(pred[pos] == 1)) if pos.any() else None
+    rec.tnr = float(np.mean(pred[neg] == -1)) if neg.any() else None
+    rec.support_count = model.support_count
 
 
 def _check_lazy_fill(model: FastronModel) -> None:
@@ -92,73 +135,43 @@ def _check_lazy_fill(model: FastronModel) -> None:
                            f"for n = {n} and {touched} touched columns")
 
 
-def _train_static_model(cfg: ScenarioConfig, seed: int, chain, label_fn):
-    """Label a fresh uniform dataset, train and sparsify; returns model + time."""
-    n0 = cfg.resolved_n0()
-    rng = _rng(seed, _S_TRAIN)
-    X = rng.uniform(-1.0, 1.0, (n0, chain.dof))
-    params = cfg.train_params()
-    model = FastronModel(params, dim=chain.dof, capacity=params.s_max + cfg.fastron.a_max)
-    t0 = perf_counter()
-    y = np.fromiter((label_fn(x) for x in X), dtype=np.float64, count=n0)
-    model.set_data(X, y)
-    report = model.train()
-    _check_lazy_fill(model)
-    model.sparsify()
-    update_time = perf_counter() - t0
-    return model, report, update_time
-
-
-def _static_seed(cfgs, seed: int, model: FastronModel | None, details: list | None):
-    """One seed's record per config (configs differ at most in a sweep parameter);
-    every trained proxy and oracle is timed in one ``median_call_times`` pass."""
-    records, timed = [], []
-    for cfg in cfgs:
-        chain = build_chain(cfg)
-        workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
-        label_fn = make_label_fn(chain, workspace)
-        rec = MetricsRecord(run="static", seed=seed)
-        seed_model = model
+def static_seeds(scenes, model: FastronModel | None = None):
+    """One ``(record, model)`` per scene of one seed (the scenes' configs differ
+    at most in a sweep parameter); every trained proxy and oracle is timed in
+    one ``median_call_times`` pass. With ``model`` given, that model is
+    evaluated instead: no training, and no timing columns."""
+    out, timed = [], []
+    for scene in scenes:
+        rec, seed_model = MetricsRecord(run="static", seed=scene.seed), model
         if model is None:
-            seed_model, _, rec.update_time = _train_static_model(cfg, seed, chain, label_fn)
-            timed += (seed_model.predict, label_fn)
-        holdout = _rng(seed, _S_HOLDOUT).uniform(-1.0, 1.0, (cfg.eval.holdout, chain.dof))
-        rec.accuracy, rec.tpr, rec.tnr = _evaluate(seed_model, label_fn, holdout)
-        rec.support_count = seed_model.support_count
-        records.append(rec)
-        if details is not None:
-            details.append({"chain": chain, "workspace": workspace, "model": seed_model})
+            seed_model, rec.update_time = scene.train()
+            timed += (seed_model.predict, scene.label)
+        _evaluate(rec, seed_model, scene.label, scene, scene.rng("holdout"))
+        out.append((rec, seed_model))
     if timed:
-        queries = list(_rng(seed, _S_TIMING).uniform(-1.0, 1.0, (4096, chain.dof)))
-        ev = cfgs[0].eval
+        queries = list(scene.rng("timing").uniform(-1.0, 1.0, (4096, scene.chain.dof)))
+        ev = scene.cfg.eval
         times = median_call_times(timed, queries, ev.timing_calls, ev.timing_batch)
-        for rec, proxy, oracle in zip(records, times[::2], times[1::2]):
+        for (rec, _), proxy, oracle in zip(out, times[::2], times[1::2]):
             rec.query_time_proxy, rec.query_time_oracle = proxy, oracle
-    return records
+    return out
 
 
-def run_static_eval(cfg: ScenarioConfig, seeds, return_details: bool = False,
-                    model: FastronModel | None = None):
-    """Train on a static scenario per seed; report accuracy and query timing.
-
-    With ``model`` given, that model is evaluated against each seed's
-    scenario instead: no training, and no timing columns. With
-    ``return_details``, also returns one dict per seed holding its
-    ``chain``, ``workspace`` and ``model``.
-    """
-    details = [] if return_details else None
-    records = [rec for seed in seeds for rec in _static_seed([cfg], seed, model, details)]
-    if return_details:
-        return records, details
+def run_static_eval(cfg: ScenarioConfig, seeds, model: FastronModel | None = None):
+    """``static_seeds`` per seed: train, then report accuracy and query timing."""
+    records = []
+    for seed in seeds:  # each seed's model is freed before the next trains
+        records += [rec for rec, _ in static_seeds([Scene(cfg, seed)], model)]
     return records
 
 
 def run_sweep(cfg: ScenarioConfig, parameter: str, values, seeds):
-    """Static evaluation per sweep value (``_static_seed``); long-format records plus means."""
+    """``static_seeds`` per seed over the sweep values; long-format records plus means."""
     if not values:
         raise ValueError("sweep values must be non-empty")
     subs = [cfg.with_override(parameter, value) for value in values]
-    by_seed = [_static_seed(subs, seed, None, None) for seed in seeds]
+    by_seed = [[rec for rec, _ in static_seeds([Scene(sub, seed) for sub in subs])]
+               for seed in seeds]
     records, summary = [], []
     for k, value in enumerate(values):
         recs = [seed_recs[k] for seed_recs in by_seed]
@@ -180,70 +193,51 @@ def run_dynamic_eval(cfg: ScenarioConfig, seeds) -> list[MetricsRecord]:
         raise ValueError("dynamic evaluation requires obstacles.motion_steps >= 1")
     records = []
     for seed in seeds:
-        chain = build_chain(cfg)
-        workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
-        params = cfg.train_params()
-        model = FastronModel(params, dim=chain.dof,
-                             capacity=params.s_max + cfg.fastron.a_max)
+        scene = Scene(cfg, seed)
+        model, workspace, holdout_rng = scene.new_model(), scene.workspace, scene.rng("holdout")
         sampler = cfg.sampler_params(seed)
-        holdout_rng = _rng(seed, _S_HOLDOUT)
         for step in range(cfg.obstacles.motion_steps):
             if step > 0:
                 workspace = workspace.stepped()
-            oracle = CountingLabeler(make_label_fn(chain, workspace))
+            oracle = CountingLabeler(make_label_fn(scene.chain, workspace))
             t0 = perf_counter()
             update_cycle(model, oracle, sampler)
-            update_time = perf_counter() - t0
-            holdout = holdout_rng.uniform(-1.0, 1.0, (cfg.eval.holdout, chain.dof))
-            acc, tpr, tnr = _evaluate(model, oracle.fn, holdout)
-            records.append(
-                MetricsRecord(
-                    run="dynamic",
-                    seed=seed,
-                    step=step,
-                    accuracy=acc,
-                    tpr=tpr,
-                    tnr=tnr,
-                    support_count=model.support_count,
-                    update_time=update_time,
-                    oracle_calls=oracle.calls,
-                )
-            )
+            rec = MetricsRecord(run="dynamic", seed=seed, step=step,
+                                update_time=perf_counter() - t0, oracle_calls=oracle.calls)
+            _evaluate(rec, model, oracle.fn, scene, holdout_rng)
+            records.append(rec)
     return records
 
 
-def _plan_seed(cfg: ScenarioConfig, seed: int, records: list, details: list | None) -> None:
-    """Train one seed's model and plan by both routes; appends its records and detail."""
-    pl = cfg.planner
-    chain = build_chain(cfg)
-    workspace = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
-    label_fn = make_label_fn(chain, workspace)
-    model, _, _ = _train_static_model(cfg, seed, chain, label_fn)
-    oracle_free = lambda p, fn=label_fn: fn(p) == -1
-    proxy_free = lambda p, m=model: m.predict(p) == -1
-    pair = random_start_goal(_rng(seed, _S_STARTGOAL), (oracle_free, proxy_free), chain.dof,
-                             pl.min_start_goal_dist)
-    plans = {}
-    if details is not None:
-        details.append({"chain": chain, "workspace": workspace, "model": model,
-                        "plans": plans, "start_goal": pair})
+def plan_seed(scene: Scene):
+    """Train the seed's model and plan its start/goal pair by both routes.
+
+    Returns ``(records, model, pair, plans)``: one record per route, the
+    model, the pair (None if none was found) and each route's plan by
+    route name (none when there is no pair). Both routes are certified
+    against the oracle at half the planning edge resolution, so a
+    certified plan withstands an independent check at that resolution.
+    """
+    pl = scene.cfg.planner
+    model, _ = scene.train()
+    pair = scene.start_goal(model)
+    records, plans = [], {}
     if pair is None:
-        for route in ("proxy", "oracle"):
-            records.append(MetricsRecord(run="plan", seed=seed, route=route,
-                                         plan_found=False, certified=False))
-        return
-    start, goal = pair
-    for route, checker in (("proxy", proxy_free), ("oracle", oracle_free)):
-        query = cfg.plan_query(start, goal, checker, seed=_rng(seed, _S_PLAN).integers(0, 2**31))
+        records = [MetricsRecord(run="plan", seed=scene.seed, route=route, plan_found=False,
+                                 certified=False) for route in ("proxy", "oracle")]
+        return records, model, pair, plans
+    proxy_free = lambda p, m=model: m.predict(p) == -1
+    for route, checker in (("proxy", proxy_free), ("oracle", scene.free)):
+        query = scene.cfg.plan_query(*pair, checker, seed=scene.rng("plan").integers(0, 2**31))
         # both endpoints are free under both checkers: a ValueError is a fault
         plan, plan_time, verify_time, repair_time = plan_and_certify(
-            PLANNERS[pl.algorithm], query, oracle_free, pl.edge_resolution / 2.0
+            PLANNERS[pl.algorithm], query, scene.free, pl.edge_resolution / 2.0
         )
         plans[route] = plan
         records.append(
             MetricsRecord(
                 run="plan",
-                seed=seed,
+                seed=scene.seed,
                 route=route,
                 support_count=model.support_count if route == "proxy" else None,
                 plan_time=plan_time,
@@ -253,21 +247,16 @@ def _plan_seed(cfg: ScenarioConfig, seed: int, records: list, details: list | No
                 plan_found=plan is not None,
             )
         )
+    return records, model, pair, plans
 
 
-def run_planning_eval(cfg: ScenarioConfig, seeds, return_details: bool = False):
-    """Plan with the proxy (verify + repair) and with the oracle directly.
+def run_planning_eval(cfg: ScenarioConfig, seeds) -> list[MetricsRecord]:
+    """``plan_seed`` per seed: proxy plans (verify + repair) and oracle plans.
 
-    Both routes are certified against the oracle at half the planning edge
-    resolution, so a certified plan withstands an independent check at
-    that resolution exactly. A seed's model, with its n0 x n0 Gram
-    buffer, is freed before the next seed trains unless
-    ``return_details`` keeps it in that seed's detail dict.
+    A seed's model, with its n0 x n0 Gram buffer, is freed before the next
+    seed trains.
     """
     records = []
-    details = [] if return_details else None
     for seed in seeds:
-        _plan_seed(cfg, seed, records, details)
-    if return_details:
-        return records, details
+        records += plan_seed(Scene(cfg, seed))[0]
     return records

@@ -11,7 +11,7 @@ import pytest
 
 from fastron.bench.config import load_config
 from fastron.bench.cli import main as cli_main
-from fastron.bench.runners import run_dynamic_eval, run_planning_eval, run_static_eval, run_sweep
+from fastron.bench.runners import Scene, plan_seed, run_dynamic_eval, run_static_eval, run_sweep
 from fastron.bench.scenarios import gap_obstacles
 from fastron.geometry import make_label_fn
 from fastron.model import FastronModel, TrainParams
@@ -259,16 +259,10 @@ def test_criterion_09_update_cycle_accounting():
 
 
 def test_criterion_10_sparsify_exactness():
-    cfg = _static_2dof()
-    from fastron.bench.runners import _rng, _S_SCENARIO, _S_TRAIN
-    from fastron.bench.scenarios import build_chain, build_workspace
-
-    chain = build_chain(cfg)
-    ws = build_workspace(cfg, _rng(0, _S_SCENARIO), chain)
-    label = make_label_fn(chain, ws)
-    rng = _rng(0, _S_TRAIN)
+    scene = Scene(_static_2dof(), 0)
+    rng = scene.rng("train")
     X = rng.uniform(-1, 1, (2000, 2))
-    y = np.fromiter((label(x) for x in X), dtype=np.float64, count=2000)
+    y = np.fromiter((scene.label(x) for x in X), dtype=np.float64, count=2000)
     m = FastronModel(TrainParams(gamma=30.0), dim=2)
     m.set_data(X, y)
     m.train()
@@ -292,15 +286,18 @@ def test_criterion_11_planning_certification():
         "planner": {"algorithm": "rrt_connect", "edge_resolution": 0.05},
         "eval": {"holdout": 500, "timing_calls": 1000, "timing_batch": 500},
     })
-    records, details = run_planning_eval(cfg, list(range(50)), return_details=True)
     cert_res = cfg.planner.edge_resolution / 2.0
 
+    records = []
     certified_total = 0
     independent_failures = 0
-    for d in details:
-        label = make_label_fn(d["chain"], d["workspace"])
+    for seed in range(50):
+        scene = Scene(cfg, seed)
+        seed_records, _, _, plans = plan_seed(scene)
+        records += seed_records
+        label = make_label_fn(scene.chain, scene.workspace)
         oracle_free = lambda p, fn=label: fn(p) == -1
-        for plan in d["plans"].values():
+        for plan in plans.values():
             if plan is not None and plan.certified:
                 certified_total += 1
                 if verify_plan(plan, oracle_free, cert_res):

@@ -13,11 +13,14 @@ from fastron.bench.report import (
     parse_report,
 )
 from fastron.bench.runners import (
+    Scene,
     median_call_times,
+    plan_seed,
     run_dynamic_eval,
     run_planning_eval,
     run_static_eval,
     run_sweep,
+    static_seeds,
 )
 from fastron.bench.scenarios import gap_obstacles
 from fastron.bench.cli import main
@@ -254,7 +257,12 @@ def test_planning_eval_smoke():
         "fastron": {"gamma": 30.0, "beta": 100.0, "n0": 800},
         "eval": dict(FAST_EVAL),
     })
-    recs, details = run_planning_eval(cfg, [0, 1], return_details=True)
+    recs, scenes_plans = [], []
+    for seed in (0, 1):
+        scene = Scene(cfg, seed)
+        seed_recs, _, _, plans = plan_seed(scene)
+        recs += seed_recs
+        scenes_plans.append((scene, plans))
     assert len(recs) == 4
     by_route = {}
     for r in recs:
@@ -267,9 +275,9 @@ def test_planning_eval_smoke():
     from fastron.geometry import make_label_fn
     from fastron.planning import verify_plan
 
-    for d in details:
-        label = make_label_fn(d["chain"], d["workspace"])
-        for plan in d["plans"].values():
+    for scene, plans in scenes_plans:
+        label = make_label_fn(scene.chain, scene.workspace)
+        for plan in plans.values():
             if plan is not None and plan.certified:
                 assert verify_plan(plan, lambda p: label(p) == -1, 0.025) == []
 
@@ -410,17 +418,34 @@ def test_cli_save_and_load_model(tmp_path):
     assert recs[0].accuracy is not None
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("dynamic", ["--save-model", "b.txt"], "unrecognized arguments: --save-model"),
+    ("static", ["--load-model", "a.txt", "--save-model", "b.txt"], "not allowed with argument"),
+], ids=["dynamic-save", "static-load-and-save"])
+def test_cli_model_flags_are_static_only_and_exclusive(tmp_path, capsys, command, flags, message):
+    # both runs used to exit 0 without writing b.txt
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}, "fastron": {"n0": 300},
+                               "obstacles": {"motion_steps": 1},
+                               "eval": {"holdout": 100, "timing_calls": 100}})
+    run = ["--config", cfg, "--out", str(tmp_path / "o.csv"), "--seeds", "1"]
+    assert main(["static", *run, "--save-model", str(tmp_path / "a.txt")]) == 0
+    flags = [str(tmp_path / f) if f.endswith(".txt") else f for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *run, *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b.txt").exists()
+
+
 def test_cli_save_model_trains_each_seed_once(tmp_path, monkeypatch):
-    import fastron.bench.runners as runners
-
     trained = []
-    train = runners._train_static_model
+    train = Scene.train
 
-    def counted(cfg, seed, chain, label_fn):
-        trained.append(seed)
-        return train(cfg, seed, chain, label_fn)
+    def counted(scene):
+        trained.append(scene.seed)
+        return train(scene)
 
-    monkeypatch.setattr(runners, "_train_static_model", counted)
+    monkeypatch.setattr(Scene, "train", counted)
     data = {
         "robot": {"type": "dof2"},
         "obstacles": {"count": 2},
@@ -432,8 +457,8 @@ def test_cli_save_model_trains_each_seed_once(tmp_path, monkeypatch):
                  str(tmp_path / "o.csv"), "--seeds", "2", "--save-model", str(saved)])
     assert code == 0
     assert trained == [0, 1]
-    _, details = run_static_eval(load_config(data), [0], return_details=True)
-    details[0]["model"].save(tmp_path / "expected.txt")
+    [(_, model)] = static_seeds([Scene(load_config(data), 0)])
+    model.save(tmp_path / "expected.txt")
     assert saved.read_text() == (tmp_path / "expected.txt").read_text()
 
 
@@ -469,18 +494,16 @@ def test_cli_values_that_reached_the_run_unchecked_exit_2(tmp_path, capsys,
 def test_planning_eval_frees_each_model_before_the_next_trains(monkeypatch):
     import weakref
 
-    import fastron.bench.runners as runners
-
     models = []
-    train = runners._train_static_model
+    train = Scene.train
 
-    def tracked(cfg, seed, chain, label_fn):
+    def tracked(scene):
         assert all(ref() is None for ref in models), "an earlier seed's model is still alive"
-        result = train(cfg, seed, chain, label_fn)
+        result = train(scene)
         models.append(weakref.ref(result[0]))
         return result
 
-    monkeypatch.setattr(runners, "_train_static_model", tracked)
+    monkeypatch.setattr(Scene, "train", tracked)
     cfg = load_config({
         "robot": {"type": "dof2"},
         "obstacles": {"explicit": gap_obstacles()},
@@ -546,14 +569,8 @@ def test_static_eval_support_band_20_seeds():
 
 
 def test_lazy_gram_accounting_on_bench_workload():
-    from fastron.bench.runners import _rng, _S_SCENARIO, _S_STARTGOAL, _train_static_model
-    from fastron.bench.scenarios import build_chain, build_workspace
-    from fastron.geometry import make_label_fn
-
     cfg = small_static_config()
-    chain = build_chain(cfg)
-    ws = build_workspace(cfg, _rng(0, _S_SCENARIO), chain)
-    model, _, _ = _train_static_model(cfg, 0, chain, make_label_fn(chain, ws))
+    model, _ = Scene(cfg, 0).train()
     gram = model.gram
     # counted evaluations never exceed one column's worth per touched column,
     # and the workload leaves most of the matrix untouched
@@ -662,9 +679,6 @@ def test_gamma_sweep_support_ratio_trend():
 def test_proxy_plan_invalid_edge_fraction_and_repair_rate():
     # on random scenarios the biased proxy over-covers obstacles, so its
     # plans rarely contain oracle-invalid segments
-    from fastron.bench.runners import _rng, _S_SCENARIO, _S_STARTGOAL, _train_static_model
-    from fastron.bench.scenarios import build_chain, build_workspace, random_start_goal
-    from fastron.geometry import make_label_fn
     from fastron.planning import PlanQuery, rrt_connect_plan, verify_plan
 
     cfg = load_config({
@@ -673,29 +687,26 @@ def test_proxy_plan_invalid_edge_fraction_and_repair_rate():
         "fastron": {"gamma": 30.0, "beta": 100.0, "n0": 2000},
         "eval": dict(FAST_EVAL),
     })
-    recs = run_planning_eval(cfg, list(range(15)))
+    # each seed's model and start/goal pair come from its plan_seed run, and
+    # are re-planned with the proxy alone to count oracle-invalid edges
+    recs, edge_total, edge_invalid = [], 0, 0
+    for seed in range(15):
+        scene = Scene(cfg, seed)
+        seed_recs, model, pair, _ = plan_seed(scene)
+        recs += seed_recs
+        if pair is None:
+            continue
+        proxy_free = lambda p, m=model: m.predict(p) == -1
+        plan = rrt_connect_plan(PlanQuery(pair[0], pair[1], proxy_free, seed=seed))
+        if plan is None:
+            continue
+        invalid = verify_plan(plan, scene.free, 0.025)
+        edge_total += len(plan.waypoints) - 1
+        edge_invalid += len(invalid)
     proxy = [r for r in recs if r.route == "proxy" and r.plan_found]
     repaired = sum(1 for r in proxy if (r.repair_time or 0.0) > 0.0)
     assert len(proxy) >= 10
     assert repaired / len(proxy) < 0.5
-
-    edge_total = edge_invalid = 0
-    for seed in range(15):
-        chain = build_chain(cfg)
-        ws = build_workspace(cfg, _rng(seed, _S_SCENARIO), chain)
-        label = make_label_fn(chain, ws)
-        model, _, _ = _train_static_model(cfg, seed, chain, label)
-        oracle_free = lambda p, fn=label: fn(p) == -1
-        proxy_free = lambda p, m=model: m.predict(p) == -1
-        pair = random_start_goal(_rng(seed, _S_STARTGOAL), (oracle_free, proxy_free), 2, 0.8)
-        if pair is None:
-            continue
-        plan = rrt_connect_plan(PlanQuery(pair[0], pair[1], proxy_free, seed=seed))
-        if plan is None:
-            continue
-        invalid = verify_plan(plan, oracle_free, 0.025)
-        edge_total += len(plan.waypoints) - 1
-        edge_invalid += len(invalid)
     assert edge_total > 0
     assert edge_invalid / edge_total < 0.05
 
@@ -713,16 +724,9 @@ def test_static_eval_4dof_smoke():
 
 
 def test_workspace_generation_with_box_links():
-    from fastron.bench.runners import _rng, _S_SCENARIO
-    from fastron.bench.scenarios import build_chain, build_workspace
-
-    cfg = load_config({
+    scene = Scene(load_config({
         "robot": {"type": "dof2", "link_shape": "box"},
         "obstacles": {"count": 3, "randomize_count": False},
-    })
-    chain = build_chain(cfg)
-    ws = build_workspace(cfg, _rng(0, _S_SCENARIO), chain)
-    assert len(ws.obstacles) == 3
-    from fastron.geometry import make_label_fn
-    label = make_label_fn(chain, ws)
-    assert label(np.zeros(2)) in (-1, 1)
+    }), 0)
+    assert len(scene.workspace.obstacles) == 3
+    assert scene.label(np.zeros(2)) in (-1, 1)

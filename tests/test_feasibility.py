@@ -12,9 +12,7 @@ import pytest
 from scipy import ndimage
 
 from fastron.bench.config import load_config
-from fastron.bench.runners import _S_SCENARIO, _S_STARTGOAL, _rng, _train_static_model
-from fastron.bench.scenarios import build_chain, build_workspace, random_start_goal
-from fastron.geometry import make_label_fn
+from fastron.bench.runners import Scene
 
 GRID = 241
 
@@ -39,18 +37,10 @@ def grid_cell(p) -> tuple[int, int]:
 
 
 def _planning_scene(seed: int):
-    """The oracle and the start/goal pair that ``run_planning_eval`` draws for ``seed``."""
-    cfg = load_config(_RANDOM_DOF2)
-    chain = build_chain(cfg)
-    label = make_label_fn(chain, build_workspace(cfg, _rng(seed, _S_SCENARIO), chain))
-    model, _, _ = _train_static_model(cfg, seed, chain, label)
-    pair = random_start_goal(
-        _rng(seed, _S_STARTGOAL),
-        (lambda p: label(p) == -1, lambda p: model.predict(p) == -1),
-        chain.dof,
-        cfg.planner.min_start_goal_dist,
-    )
-    return label, pair
+    """The oracle and the start/goal pair that ``plan_seed`` draws for ``seed``."""
+    scene = Scene(load_config(_RANDOM_DOF2), seed)
+    model, _ = scene.train()
+    return scene.label, scene.start_goal(model)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 8])

@@ -1,13 +1,15 @@
 """Same bytes: pinned outputs of the shipped configs and of the gap-scenario plans.
 
-The golden files under ``tests/golden/`` hold, for reduced runs of the
-shipped configs, the CSV cells outside the ``*_ns`` timing columns and
-the bytes of a saved model file, and for the 40 gap-scenario queries a
-digest of each plan's waypoint bytes with its iteration count, and of
-each certified-route plan with its repair and ``certified`` flags. They
-were generated from commit ``be8a4a4`` (``gap_certified.txt`` from
-``a48e0a4``, built from ``verify_plan`` and ``repair_plan`` as the route
-calls them) with
+The golden files under ``tests/golden/`` hold, for runs of the shipped
+configs, the CSV cells outside the ``*_ns`` timing columns and the bytes
+of a saved model file, and for the 40 gap-scenario queries a digest of
+each plan's waypoint bytes with its iteration count, and of each
+``plan_and_certify`` plan with its repair and ``certified`` flags.
+The CSV runs use smaller holdout (and static timing) sizes than their
+configs; the ``*_seeds*.csv`` files keep static_2dof's 20 default seeds
+and dynamic_2dof's 50 steps (seeds 0-4), the others fewer seeds or steps.
+They were generated from commit ``be8a4a4`` (``gap_certified.txt`` from
+``a48e0a4``, the ``*_seeds*.csv`` files from ``8b352b8``) with
 
     PYTHONPATH=src python tests/test_identity.py
 
@@ -32,16 +34,9 @@ import pytest
 
 from fastron.bench.config import ScenarioConfig, load_config
 from fastron.bench.report import TIMING_COLUMNS, emit_report
-from fastron.bench.runners import (
-    _S_SCENARIO,
-    _rng,
-    _train_static_model,
-    run_dynamic_eval,
-    run_static_eval,
-)
-from fastron.bench.scenarios import build_chain, build_workspace, random_start_goal
-from fastron.geometry import make_label_fn
-from fastron.planning import PlanQuery, repair_plan, rrt_connect_plan, rrt_plan, verify_plan
+from fastron.bench.runners import Scene, run_dynamic_eval, run_static_eval, static_seeds
+from fastron.bench.scenarios import random_start_goal
+from fastron.planning import PLANNERS, PlanQuery, plan_and_certify, rrt_connect_plan, rrt_plan
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -72,9 +67,10 @@ def _csv_without_timings(records, tmp_dir: Path) -> str:
 
 def _static_2dof(tmp_dir: Path) -> dict[str, bytes]:
     cfg = _config("static_2dof", eval={"holdout": 2000, "timing_calls": 2000})
-    records, details = run_static_eval(cfg, [0, 1], return_details=True)
+    [(record, model)] = static_seeds([Scene(cfg, 0)])
+    records = [record] + run_static_eval(cfg, [1])
     model_path = tmp_dir / "static_2dof_seed0.fastron"
-    details[0]["model"].save(model_path)
+    model.save(model_path)
     return {
         "static_2dof.csv": _csv_without_timings(records, tmp_dir).encode(),
         "static_2dof_seed0.fastron": model_path.read_bytes(),
@@ -91,21 +87,33 @@ def _dynamic_2dof(tmp_dir: Path) -> dict[str, bytes]:
     return {"dynamic_2dof.csv": _csv_without_timings(run_dynamic_eval(cfg, [0]), tmp_dir).encode()}
 
 
+def _static_2dof_seeds(tmp_dir: Path) -> dict[str, bytes]:
+    # every seed of the shipped run (the config's default 20)
+    cfg = _config("static_2dof", eval={"holdout": 2000, "timing_calls": 2000})
+    records = run_static_eval(cfg, range(20))
+    return {"static_2dof_seeds0-19.csv": _csv_without_timings(records, tmp_dir).encode()}
+
+
+def _dynamic_2dof_seeds(tmp_dir: Path) -> dict[str, bytes]:
+    # five seeds at the shipped 50 steps
+    cfg = _config("dynamic_2dof", eval={"holdout": 1000})
+    records = run_dynamic_eval(cfg, range(5))
+    return {"dynamic_2dof_seeds0-4.csv": _csv_without_timings(records, tmp_dir).encode()}
+
+
 def _gap_plans(tmp_dir: Path) -> dict[str, bytes]:
     # start/goal k from random_start_goal(default_rng(1000 + k)) under the
     # seed-0 plan_gap_2dof model; every fourth query plans on the oracle
     cfg = _config("plan_gap_2dof")
-    chain = build_chain(cfg)
-    label_fn = make_label_fn(chain, build_workspace(cfg, _rng(0, _S_SCENARIO), chain))
-    model, _, _ = _train_static_model(cfg, 0, chain, label_fn)
-    oracle_free = lambda p: label_fn(p) == -1
-    proxy_free = lambda p: model.predict(p) == -1
+    scene = Scene(cfg, 0)
+    model, _ = scene.train()
+    oracle_free, proxy_free = scene.free, lambda p: model.predict(p) == -1
     pl = cfg.planner
     lines = []
     start_goal = []
     for k in range(GAP_QUERIES):
         start, goal = random_start_goal(np.random.default_rng(1000 + k),
-                                        (oracle_free, proxy_free), chain.dof,
+                                        (oracle_free, proxy_free), scene.chain.dof,
                                         pl.min_start_goal_dist)
         start_goal.append((start, goal))
         route, checker = ("oracle", oracle_free) if k % 4 == 0 else ("proxy", proxy_free)
@@ -125,28 +133,21 @@ def _gap_plans(tmp_dir: Path) -> dict[str, bytes]:
 
 
 def _gap_certified(cfg, start_goal, oracle_free, proxy_free) -> bytes:
-    # the certified route on every gap query planned with the proxy: plan,
-    # verify at half the edge resolution, repair what fails, with the
-    # keyword arguments the route passes to repair_plan
-    pl, cert_res = cfg.planner, cfg.planner.edge_resolution / 2.0
+    # the certified route plan_seed runs, on every gap query planned with
+    # the proxy: plan, verify at half the edge resolution, repair what fails
+    pl = cfg.planner
     lines = []
     for k, (start, goal) in enumerate(start_goal):
-        plan = rrt_connect_plan(cfg.plan_query(start, goal, proxy_free, seed=k))
-        invalid = verify_plan(plan, oracle_free, cert_res)
-        if invalid:
-            plan = repair_plan(plan, invalid, oracle_free, planner=rrt_connect_plan,
-                               edge_resolution=cert_res, step_size=pl.step_size,
-                               goal_bias=pl.goal_bias, max_iterations=pl.max_iterations,
-                               seed=k + 7919)
-        else:
-            plan.certified = True
+        plan, _, _, repair_s = plan_and_certify(PLANNERS[pl.algorithm],
+                                                cfg.plan_query(start, goal, proxy_free, seed=k),
+                                                oracle_free, pl.edge_resolution / 2.0)
         if plan is None:
             result = "None"
         else:
             digest = hashlib.sha256(b"".join(w.tobytes() for w in plan.waypoints))
             result = (f"certified={plan.certified} waypoints={len(plan.waypoints)} "
                       f"sha256={digest.hexdigest()}")
-        lines.append(f"{k} repaired={bool(invalid)} {result}\n")
+        lines.append(f"{k} repaired={repair_s > 0.0} {result}\n")
     return "".join(lines).encode()
 
 
@@ -154,6 +155,8 @@ ARTIFACTS = {
     "static_2dof": _static_2dof,
     "static_4dof": _static_4dof,
     "dynamic_2dof": _dynamic_2dof,
+    "static_2dof_seeds": _static_2dof_seeds,
+    "dynamic_2dof_seeds": _dynamic_2dof_seeds,
     "gap_plans": _gap_plans,
 }
 

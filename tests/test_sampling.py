@@ -3,8 +3,7 @@ import pytest
 
 import fastron.model as model_module
 from fastron.bench.config import load_config
-from fastron.bench.runners import _S_SCENARIO, _rng
-from fastron.bench.scenarios import build_chain, build_workspace
+from fastron.bench.runners import Scene
 from fastron.geometry import make_label_fn
 from fastron.model import FastronModel, TrainParams
 from fastron.sampling import SamplerParams, generate_active_set, resolved_sigma, update_cycle
@@ -228,10 +227,8 @@ def test_churning_cycle_stops_early_on_the_snapshot_before_its_removal():
                       "motion_steps": 2, "motion_speed": 0.02},
         "fastron": {"gamma": 30.0, "beta": 1.0, "n0": 2000, "a_max": 500, "kappa": 4},
     })
-    chain = build_chain(cfg)
-    workspace = build_workspace(cfg, _rng(0, _S_SCENARIO), chain)
-    params = cfg.train_params()
-    model = FastronModel(params, dim=chain.dof, capacity=params.s_max + cfg.fastron.a_max)
+    scene = Scene(cfg, 0)
+    chain, workspace, model = scene.chain, scene.workspace, scene.new_model()
     # train snapshots (alpha, F) just before each removal attempt
     snapshots, ends = [], []
     remove, train = model.remove_redundant, model.train
@@ -254,7 +251,7 @@ def test_churning_cycle_stops_early_on_the_snapshot_before_its_removal():
     assert report.early_stop and report.reverted
     assert report.removals > 0
     assert report.corrections >= model_module.EARLY_REVERT_CORRECTIONS
-    assert report.iterations_used < params.iter_max
+    assert report.iterations_used < model.params.iter_max
     assert alpha.tobytes() == snap_alpha.tobytes()
     assert F.tobytes() == snap_F.tobytes()
     assert report.final_misclassified == 0
