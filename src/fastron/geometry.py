@@ -7,8 +7,13 @@ closed form, in ``sum()`` order), then pairwise convex intersection
 tests -- in plain-float tuple arithmetic: a query sits on the hot path of
 every benchmark, where per-call numpy overhead would dominate.
 
-Chains and workspaces are immutable after construction; labeling is pure
-and safe to call concurrently.
+Chains and workspaces are immutable after construction. Each labeler of
+``make_label_fn`` keeps, per (link, obstacle) pair, the axis that last
+proved the pair apart and tries it before GJK. It counts only if it
+certifies separation for the query at hand, so a stale axis, or one a
+concurrent call wrote, cannot make a label wrong. A label may depend on
+earlier calls in one way only: a remembered axis can prove apart a pair
+on which GJK gives up with its conservative True, giving -1 for +1.
 """
 
 from __future__ import annotations
@@ -227,6 +232,12 @@ def gjk_intersect(a, b) -> bool:
     terminations -- progress inside the tolerance band, or the iteration
     cap -- return True, the conservative answer for collision checking.
     """
+    return _gjk(a, b)[0]
+
+
+def _gjk(a, b):
+    # the walk of gjk_intersect: (hit, axis), where axis is the unit
+    # direction that certified separation, or None with hit True
     ca = a.centroid()
     cb = b.centroid()
     dx, dy, dz = ca[0] - cb[0], ca[1] - cb[1], ca[2] - cb[2]
@@ -240,20 +251,21 @@ def gjk_intersect(a, b) -> bool:
     for _ in range(_GJK_MAX_ITER):
         dd = dx * dx + dy * dy + dz * dz
         if dd < 1e-24:
-            return True  # origin sits on the simplex: contact
+            return True, None  # origin sits on the simplex: contact
         sa = a.support(dx, dy, dz)
         sb = b.support(-dx, -dy, -dz)
         w = (sa[0] - sb[0], sa[1] - sb[1], sa[2] - sb[2])
-        progress = (w[0] * dx + w[1] * dy + w[2] * dz) / math.sqrt(dd)
+        n = math.sqrt(dd)
+        progress = (w[0] * dx + w[1] * dy + w[2] * dz) / n
         if progress < -_GJK_TOL:
-            return False
+            return False, (dx / n, dy / n, dz / n)
         if progress < _GJK_TOL:
-            return True
+            return True, None
         simplex.append(w)
         hit, (dx, dy, dz) = _handle_simplex(simplex)
         if hit:
-            return True
-    return True
+            return True, None
+    return True, None
 
 
 # ----------------------------------------------------------------------
@@ -419,31 +431,48 @@ class Workspace:
         return Workspace(obstacles, velocities, self.bounds)
 
 
-def _links_label(links, obstacles) -> int:
+def _links_label(links, obstacles, axes) -> int:
+    # axes[k]: the unit axis that last proved link-obstacle pair k apart, or
+    # None; tried with the walk's own certificate before the walk runs
+    k = -1
     for link in links:
         for obs in obstacles:
-            if gjk_intersect(link, obs):
+            k += 1
+            axis = axes[k]
+            if axis is not None:
+                dx, dy, dz = axis
+                sa = link.support(dx, dy, dz)
+                sb = obs.support(-dx, -dy, -dz)
+                if (sa[0] - sb[0]) * dx + (sa[1] - sb[1]) * dy + (sa[2] - sb[2]) * dz < -_GJK_TOL:
+                    continue
+            hit, axis = _gjk(link, obs)
+            if hit:
                 return 1
+            axes[k] = axis
     return -1
 
 
 def kcd_label(chain: KinematicChain, workspace: Workspace, q) -> int:
     """Ground-truth label of a joint configuration: +1 collision, -1 free.
 
-    Raises on joint values outside the limits.
+    Raises on joint values outside the limits; remembers no axis between calls.
     """
-    return _links_label(chain.forward_kinematics(q), workspace.obstacles)
+    obstacles = workspace.obstacles
+    return _links_label(chain.forward_kinematics(q), obstacles,
+                        [None] * (len(chain.rods) * len(obstacles)))
 
 
 def make_label_fn(chain: KinematicChain, workspace: Workspace):
     """Input-space labeler: the joint mapping, then :func:`kcd_label`; the timing baseline.
 
     The mapping validates and clamps the joints, so they are posed
-    without a second limit check.
+    without a second limit check. Each labeler remembers separating axes
+    (see the module docstring).
     """
     joints, pose, obstacles = chain.joints_from_input, chain._pose, workspace.obstacles
+    axes = [None] * (len(chain.rods) * len(obstacles))
 
     def label(p) -> int:
-        return _links_label(pose(joints(p)), obstacles)
+        return _links_label(pose(joints(p)), obstacles, axes)
 
     return label

@@ -90,7 +90,7 @@ class FastronModel:
         self.alpha = np.zeros(0, dtype=np.float64)
         self.F = np.zeros(0, dtype=np.float64)
         self.gram = LazyGramMatrix(params.gamma, capacity=capacity)
-        self._sv: tuple[np.ndarray, np.ndarray] | None = None
+        self._sv: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.update_cycles = 0  # completed sampling.update_cycle passes
 
     @property
@@ -302,11 +302,14 @@ class FastronModel:
     # prediction
 
     def _support(self):
-        # cached query arrays (a, W): the support weights and, with
-        # c0_i = 1 + gamma/2 |x_i|^2, the C-contiguous (|S|, d+2) matrix
+        # cached query arrays (a, W, Wf): the support weights and, with
+        # c0_i = 1 + gamma/2 |x_i|^2, the (|S|, d+2) matrix
         # W = [-gamma X_S | c0 | gamma/2]. For v = [q, 1, |q|^2],
         # (W v)_i = 1 + gamma/2 |x_i - q|^2, so a query is one product plus
-        # an in-place square, reciprocal and weighted sum
+        # an in-place square, reciprocal and weighted sum. Wf is W stored
+        # column-major for single queries, where W v then runs as d+2 column
+        # sweeps, not |S| short row dots; the batch product keeps the
+        # row-major W, which timed faster in the d = 2 planning benchmark
         sv = self._sv
         if sv is None:
             mask = self.alpha != 0.0
@@ -317,7 +320,7 @@ class FastronModel:
             np.multiply(Xs, -gamma, out=W[:, :d])
             W[:, d] = 1.0 + 0.5 * gamma * np.einsum("ij,ij->i", Xs, Xs)
             W[:, d + 1] = 0.5 * gamma
-            sv = self._sv = (self.alpha[mask], W)
+            sv = self._sv = (self.alpha[mask], W, np.asfortranarray(W))
         return sv
 
     def hypothesis(self, q) -> float:
@@ -326,7 +329,7 @@ class FastronModel:
         Summed over the support set only, so sparsify never changes it.
         This is the query hot path; it stays allocation-light.
         """
-        a, W = self._support()
+        a, _, W = self._support()
         if not isinstance(q, np.ndarray) or q.dtype != np.float64:
             q = np.asarray(q, dtype=np.float64)
         if q.ndim != 1 or q.shape[0] != self.dim:
@@ -354,16 +357,16 @@ class FastronModel:
     def hypothesis_batch(self, Q, block: int = 1024) -> np.ndarray:
         """Scores for many queries at once, ``block`` queries per product.
 
-        Uses the cached ``W`` of :meth:`hypothesis`: per block, the rows
-        ``[q, 1, |q|^2]`` stack into V, ``t = V W'`` is one matrix product,
-        and the scores are ``(1 / t^2) a``. Only one (block, |S|) buffer is
-        live. The summation order differs from :meth:`hypothesis`, so
-        scores agree in sign wherever they are clear of rounding, not
+        Uses the ``W`` of :meth:`hypothesis`, cached row-major: per block,
+        the rows ``[q, 1, |q|^2]`` stack into V, ``t = V W'`` is one matrix
+        product, and the scores are ``(1 / t^2) a``. Only one (block, |S|)
+        buffer is live. The summation order differs from :meth:`hypothesis`,
+        so scores agree in sign wherever they are clear of rounding, not
         bitwise. ``Q`` must be (m, d); ``block`` an integer >= 1.
         """
         check_int("block", block, 1)
         Q = np.asarray(Q, dtype=np.float64)
-        a, W = self._support()
+        a, W, _ = self._support()
         d = self.dim
         if Q.ndim != 2 or Q.shape[1] != d:
             raise ValueError(f"dimension mismatch: expected {d}, got {Q.shape}")

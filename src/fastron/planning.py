@@ -224,9 +224,13 @@ PLANNERS = {"rrt": rrt_plan, "rrt_connect": rrt_connect_plan}
 def verify_plan(plan: MotionPlan, oracle: CheckerFn, resolution: float) -> list[int]:
     """Indices of plan edges that fail an oracle-backed edge check.
 
-    An empty list certifies the plan at this resolution.
+    An empty list certifies the plan at this resolution. A one-waypoint
+    plan (start == goal) is checked as the degenerate edge 0 from that
+    waypoint to itself.
     """
     wps = plan.waypoints
+    if len(wps) == 1:
+        wps = wps * 2
     invalid = []
     for i in range(len(wps) - 1):
         if not edge_valid(wps[i], wps[i + 1], oracle, resolution):

@@ -1,11 +1,16 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastron import geometry
+from fastron.bench.config import load_config
+from fastron.bench.runners import Scene
 from fastron.geometry import (
     Box,
     Capsule,
@@ -18,8 +23,11 @@ from fastron.geometry import (
     two_dof_rod,
     four_dof_rod,
 )
+from fastron.planning import edge_valid
 
 from reference import reference_forward_kinematics, segment_box_distance
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +309,71 @@ def test_label_fn_matches_kcd_label():
         p = rng.uniform(-1, 1, 2)
         q = from_input_space(p, chain)
         assert label(p) == kcd_label(chain, ws, q)
+
+
+@pytest.mark.parametrize("shape", ["capsule", "box"])
+@pytest.mark.parametrize("config", ["static_4dof", "plan_gap_2dof"])
+def test_label_fn_memory_answers_as_kcd_label(config, shape):
+    # a labeler remembers the axis that last proved each link-obstacle pair
+    # apart; on uniform points and along edges its answers stay kcd_label's
+    data = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    data["robot"]["link_shape"] = shape
+    scene = Scene(load_config(data), 0)
+    chain, ws = scene.chain, scene.workspace
+    rng = np.random.default_rng(8)
+    uniform = rng.uniform(-1, 1, (2000, chain.dof))
+    along = []  # the points edge_valid checks at 0.025 on a chain of random edges
+    ends = rng.uniform(-1, 1, (200, chain.dof))
+    for a, b in zip(ends[:-1], ends[1:]):
+        edge_valid(a, b, lambda p: along.append(p.copy()) is None, 0.025)
+    along = along[:2000]
+    assert len(along) == 2000
+    for P in (uniform, along):
+        label = make_label_fn(chain, ws)
+        got = [label(p) for p in P]
+        want = [kcd_label(chain, ws, from_input_space(p, chain)) for p in P]
+        assert got == want
+        assert -1 in got and 1 in got
+
+
+def test_label_fn_does_not_trust_a_stale_axis():
+    chain = four_dof_rod()
+    ws = Workspace([Box((0.5, 0.0, 0.2), (0.15, 0.15, 0.15)),
+                    Box((-0.4, 0.3, 0.5), (0.1, 0.1, 0.1))])
+    free, hit = np.array([0.0, 0.9, 0.0, -1.0]), np.array([0.0, -0.8, 0.0, -1.0])
+    assert kcd_label(chain, ws, from_input_space(free, chain)) == -1
+    assert kcd_label(chain, ws, from_input_space(hit, chain)) == 1
+    label = make_label_fn(chain, ws)
+    assert label(free) == -1
+    assert label(hit) == 1
+    assert label(free) == -1
+
+
+def test_labelers_of_a_stepped_workspace_share_no_memory(monkeypatch):
+    walks = []
+    gjk = geometry._gjk
+
+    def counting_gjk(a, b):
+        walks.append(1)
+        return gjk(a, b)
+
+    monkeypatch.setattr(geometry, "_gjk", counting_gjk)
+    chain = four_dof_rod()
+    ws = Workspace([Box((0.5, 0.0, 0.2), (0.15, 0.15, 0.15)),
+                    Box((-0.4, 0.3, 0.5), (0.1, 0.1, 0.1))],
+                   velocities=[(0.02, 0.0, 0.0), (0.0, -0.02, 0.0)])
+    stepped = ws.stepped()
+    p = np.array([0.0, 0.9, 0.0, -1.0])
+    for w in (ws, stepped):
+        assert kcd_label(chain, w, from_input_space(p, chain)) == -1
+    label, label_stepped = make_label_fn(chain, ws), make_label_fn(chain, stepped)
+    counts = []
+    for fn in (label, label, label_stepped, label_stepped):
+        walks.clear()
+        assert fn(p) == -1
+        counts.append(len(walks))
+    # 2 links x 2 obstacles walk once per labeler, then their axes certify
+    assert counts == [4, 0, 4, 0]
 
 
 @pytest.mark.parametrize("make_chain", [two_dof_rod, four_dof_rod], ids=["dof2", "dof4"])

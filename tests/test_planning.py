@@ -356,3 +356,14 @@ def test_plan_and_certify_repairs_a_proxy_plan():
     assert verify_plan(plan, WallWithGap(), 0.025) == []
     np.testing.assert_array_equal(plan.waypoints[0], [-0.6, 0.6])
     np.testing.assert_array_equal(plan.waypoints[-1], [0.6, 0.6])
+
+
+@pytest.mark.parametrize("planner", [rrt_plan, rrt_connect_plan])
+def test_plan_and_certify_checks_a_start_equals_goal_plan(planner):
+    # the proxy calls the one configuration free; the oracle blocks it
+    oracle = WallWithGap()
+    q = np.array([0.0, 0.5])
+    assert verify_plan(MotionPlan([q]), oracle, 0.05) == [0]
+    assert verify_plan(MotionPlan([q]), all_free, 0.05) == []
+    plan, *_ = plan_and_certify(planner, PlanQuery(q, q, all_free), oracle, 0.05)
+    assert plan is None
