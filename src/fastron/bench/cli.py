@@ -92,7 +92,11 @@ def main(argv=None) -> int:
         summary = None
         if args.command == "static":
             if args.load_model is not None:
-                records = run_static_eval(cfg, seeds, model=FastronModel.load(args.load_model))
+                try:
+                    model = FastronModel.load(args.load_model)
+                except (OSError, ValueError) as exc:  # missing, unreadable or malformed
+                    raise ConfigError(f"--load-model: {exc}") from exc
+                records = run_static_eval(cfg, seeds, model=model)
             elif args.save_model is not None:
                 # only the first seed's model is kept: each holds an n0 x n0 Gram buffer
                 [(record, model)] = static_seeds([Scene(cfg, seeds[0])])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any
 
 from ..model import TrainParams
@@ -39,7 +39,6 @@ class ObstacleConfig:
     count: int = 4
     randomize_count: bool = True  # draw 1..count obstacles instead of exactly count
     size_range: list[float] = field(default_factory=lambda: [0.2, 0.35])
-    placement_radius: list[float] = field(default_factory=lambda: [0.3, 0.95])
     explicit: list[dict] | None = None  # overrides random placement
     motion_steps: int = 0
     motion_speed: float = 0.02
@@ -121,12 +120,13 @@ class ScenarioConfig:
         return _validate(SWEEP_PARAMETERS[parameter](self, value))
 
 
-# every sweep parameter by name: the config copy that sets it to a value
+# every sweep parameter by name: the config copy that sets it to a value; a count
+# that is not a whole number (NaN, infinities) stays a float, which fails as an int
 SWEEP_PARAMETERS = {
     "beta": lambda cfg, v: replace(cfg, fastron=replace(cfg.fastron, beta=float(v))),
     "gamma": lambda cfg, v: replace(cfg, fastron=replace(cfg.fastron, gamma=float(v))),
-    "obstacle_count": lambda cfg, v: replace(
-        cfg, obstacles=replace(cfg.obstacles, count=int(v), randomize_count=False)),
+    "obstacle_count": lambda cfg, v: replace(cfg, obstacles=replace(
+        cfg.obstacles, count=int(v) if float(v).is_integer() else v, randomize_count=False)),
 }
 
 
@@ -140,13 +140,9 @@ def _build(section_cls, data: dict, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_SECTIONS = {
-    "robot": RobotConfig,
-    "obstacles": ObstacleConfig,
-    "fastron": FastronConfig,
-    "planner": PlannerConfig,
-    "eval": EvalConfig,
-}
+# every section by name: the ScenarioConfig fields built from a dataclass
+_SECTIONS = {f.name: f.default_factory for f in fields(ScenarioConfig)
+             if f.default_factory is not MISSING}
 
 
 _SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str}
@@ -227,8 +223,6 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("obstacles.count must be >= 1 when obstacles.randomize_count is true")
     if len(ob.size_range) != 2 or not 0 < ob.size_range[0] <= ob.size_range[1]:
         raise ConfigError("obstacles.size_range must be [lo, hi] with 0 < lo <= hi")
-    if len(ob.placement_radius) != 2 or not 0 <= ob.placement_radius[0] <= ob.placement_radius[1]:
-        raise ConfigError("obstacles.placement_radius must be [lo, hi] with 0 <= lo <= hi")
     if ob.motion_steps < 0 or ob.motion_speed < 0:
         raise ConfigError("obstacle motion fields must be non-negative")
     _built("fastron", lambda: (cfg.train_params(), cfg.sampler_params(0)))
@@ -265,7 +259,7 @@ def load_config(source: str | dict[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - set(_SECTIONS) - {"seeds", "asserts"}
+    unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
     if unknown:
         raise ConfigError(f"unknown config sections {sorted(unknown)}")
     kwargs: dict[str, Any] = {}

@@ -27,13 +27,17 @@ def build_chain(cfg: ScenarioConfig) -> KinematicChain:
 
 
 def explicit_body(spec: dict) -> Box:
-    center = spec["center"]
-    if "half_extents" in spec:
-        half = spec["half_extents"]
-    else:
-        half = [spec["size"] / 2.0] * 3
-    rot = spec.get("rotation")
-    return Box(center, half, rot)
+    """The box of one ``obstacles.explicit`` entry: a ``center``, either a cube's
+    ``size`` or ``half_extents``, and an optional ``rotation``."""
+    unknown = set(spec) - {"center", "size", "half_extents", "rotation"}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    if "size" in spec and "half_extents" in spec:
+        raise ValueError("give 'size' or 'half_extents', not both")
+    if isinstance(spec.get("size"), bool):  # a number to Python, not to the config
+        raise TypeError(f"size must be a number, got {spec['size']!r}")
+    half = spec["half_extents"] if "half_extents" in spec else [spec["size"] / 2.0] * 3
+    return Box(spec["center"], half, spec.get("rotation"))
 
 
 def _link_axis(link) -> tuple[tuple, tuple]:
@@ -47,7 +51,6 @@ def _link_axis(link) -> tuple[tuple, tuple]:
 def _random_obstacle(rng: np.random.Generator, chain: KinematicChain, cfg: ScenarioConfig) -> Box:
     # anchor the cube near a random point on the arm so every obstacle
     # actually carves out some in-collision region of the C-space
-    ob = cfg.obstacles
     p = rng.uniform(-1.0, 1.0, chain.dof)
     q = from_input_space(p, chain)
     bodies = chain.forward_kinematics(q)
@@ -55,13 +58,13 @@ def _random_obstacle(rng: np.random.Generator, chain: KinematicChain, cfg: Scena
     t = rng.uniform(0.0, 1.0)
     p0, p1 = _link_axis(link)
     anchor = np.array([p0[k] + t * (p1[k] - p0[k]) for k in range(3)])
-    scale = rng.uniform(*ob.placement_radius)
+    scale = rng.uniform(0.3, 0.95)  # radial band, as a fraction of the arm's reach
     norm = float(np.linalg.norm(anchor))
     if norm > 1e-9:
         anchor = anchor * (scale * chain.reach / max(norm, 1e-9))
     anchor = anchor + rng.normal(0.0, 0.05, 3)
     anchor[2] = max(anchor[2], 0.02)  # the rods only reach the upper half-space
-    side = rng.uniform(*ob.size_range)
+    side = rng.uniform(*cfg.obstacles.size_range)
     return Box(tuple(anchor), (side / 2.0, side / 2.0, side / 2.0))
 
 

@@ -60,13 +60,16 @@ class Box:
         hx, hy, hz = half_extents
         if not (hx > 0.0 and hy > 0.0 and hz > 0.0):
             raise ValueError("box half-extents must be positive")
-        finite = math.isfinite  # bound once: box-link FK builds a box per link
-        if not (finite(cx) and finite(cy) and finite(cz) and finite(hx) and finite(hy)
-                and finite(hz)):
+        if not all(map(math.isfinite, (cx, cy, cz, hx, hy, hz))):
             raise ValueError("box center and half-extents must be finite")
         self.center: Vec3 = (float(cx), float(cy), float(cz))
         self.half: Vec3 = (float(hx), float(hy), float(hz))
         self.rot: Rot3 = _IDENTITY if rot is None else tuple(tuple(map(float, row)) for row in rot)  # type: ignore[assignment]
+        r = self.rot  # R R^T = I to 1e-6, or R would stretch the box; NaN fails
+        if len(r) != 3 or any(len(row) != 3 for row in r) or not all(
+                abs(sum(a * b for a, b in zip(r[i], r[j])) - (i == j)) <= 1e-6
+                for i in range(3) for j in range(3)):
+            raise ValueError(f"box rotation must be an orthonormal 3 x 3 matrix, got {rot!r}")
 
     def support(self, dx: float, dy: float, dz: float) -> Vec3:
         r0, r1, r2 = self.rot

@@ -184,19 +184,6 @@ class LazyGramMatrix:
         self.kernel_evals += n
         return col
 
-    def full(self, X: np.ndarray) -> np.ndarray:
-        """Ensure every column is computed and return the matrix view.
-
-        One broadcast evaluation fills the whole block when any column is
-        missing; computed columns are rewritten with the same bits.
-        """
-        n = self.n
-        if not self._computed[:n].all():
-            self._buf[:n, :n] = rq_kernel_vector(X[:n, None, :], X[:n], self.gamma)
-            self._computed[:n] = True
-            self.kernel_evals += n * n
-        return self.matrix
-
     def compact(self, keep: np.ndarray) -> None:
         """Drop all rows/columns not in ``keep`` (sorted index array).
 

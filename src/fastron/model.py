@@ -36,6 +36,8 @@ __all__ = ["DuplicatePointError", "TrainParams", "TrainReport", "FastronModel"]
 # before it and stops
 EARLY_REVERT_CORRECTIONS = 400
 
+BATCH_BLOCK = 1024  # queries per matrix product in hypothesis_batch
+
 
 class DuplicatePointError(ValueError):
     """A dataset would contain two bitwise-identical configurations."""
@@ -263,10 +265,7 @@ class FastronModel:
             i = int(yF.argmin())  # ties resolve to the lowest index
             misclassified = yF[i] <= 0.0
             if misclassified and report.removals and since_removal == EARLY_REVERT_CORRECTIONS:
-                # the last removal has not been repaired: give it up
-                alpha[:] = alpha_before
-                F[:] = F_before
-                report.reverted = report.early_stop = True
+                report.early_stop = True  # the last removal has not been repaired: give it up
                 break
             if misclassified and (alpha[i] != 0.0 or np.count_nonzero(alpha) < p.s_max):
                 delta = by[i] - F[i]
@@ -290,7 +289,7 @@ class FastronModel:
             if record_loss:
                 report.loss_trace.append(self._trace_loss(by))
                 report.step_kinds.append(kind)
-        if int(np.sum(y * F_before <= 0.0)) < int(np.sum(y * F <= 0.0)):
+        if report.early_stop or int(np.sum(y * F_before <= 0.0)) < int(np.sum(y * F <= 0.0)):
             alpha[:] = alpha_before
             F[:] = F_before
             report.reverted = True
@@ -354,30 +353,29 @@ class FastronModel:
         """
         return -1 if self.hypothesis(q) < 0.0 else 1
 
-    def hypothesis_batch(self, Q, block: int = 1024) -> np.ndarray:
-        """Scores for many queries at once, ``block`` queries per product.
+    def hypothesis_batch(self, Q) -> np.ndarray:
+        """Scores for many queries at once, ``BATCH_BLOCK`` queries per product.
 
         Uses the ``W`` of :meth:`hypothesis`, cached row-major: per block,
         the rows ``[q, 1, |q|^2]`` stack into V, ``t = V W'`` is one matrix
-        product, and the scores are ``(1 / t^2) a``. Only one (block, |S|)
-        buffer is live. The summation order differs from :meth:`hypothesis`,
-        so scores agree in sign wherever they are clear of rounding, not
-        bitwise. ``Q`` must be (m, d); ``block`` an integer >= 1.
+        product, and the scores are ``(1 / t^2) a``. Only one
+        (BATCH_BLOCK, |S|) buffer is live. The summation order differs from
+        :meth:`hypothesis`, so scores agree in sign wherever they are clear
+        of rounding, not bitwise. ``Q`` must be (m, d).
         """
-        check_int("block", block, 1)
         Q = np.asarray(Q, dtype=np.float64)
         a, W, _ = self._support()
         d = self.dim
         if Q.ndim != 2 or Q.shape[1] != d:
             raise ValueError(f"dimension mismatch: expected {d}, got {Q.shape}")
         m = Q.shape[0]
-        rows = min(block, m)
+        rows = min(BATCH_BLOCK, m)
         V = np.empty((rows, d + 2), dtype=np.float64)
         V[:, d] = 1.0
         T = np.empty((rows, a.size), dtype=np.float64)
         out = np.empty(m, dtype=np.float64)
-        for s in range(0, m, block):
-            chunk = Q[s : s + block]
+        for s in range(0, m, BATCH_BLOCK):
+            chunk = Q[s : s + BATCH_BLOCK]
             k = chunk.shape[0]
             Vk, t = V[:k], T[:k]
             Vk[:, :d] = chunk
@@ -388,8 +386,8 @@ class FastronModel:
             np.matmul(t, a, out=out[s : s + k])
         return out
 
-    def predict_batch(self, Q, block: int = 1024) -> np.ndarray:
-        f = self.hypothesis_batch(Q, block=block)
+    def predict_batch(self, Q) -> np.ndarray:
+        f = self.hypothesis_batch(Q)
         return np.where(f < 0.0, -1, 1)
 
     # ------------------------------------------------------------------
@@ -453,8 +451,10 @@ class FastronModel:
         model = cls(params, dim=d)
         model.set_data(X, y)
         model.alpha = alpha
-        # the full Gram keeps every support column computed, as training
-        # leaves it; K.T is the C-contiguous buffer block
-        model.F = model.gram.full(model.X).T @ alpha
+        # every support column computed, as training leaves it; K.T is the
+        # C-contiguous buffer block
+        for j in range(ns):
+            model.gram.ensure_column(model.X, j)
+        model.F = model.gram.matrix.T @ alpha
         model._sv = None
         return model

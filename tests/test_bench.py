@@ -314,12 +314,16 @@ def test_cli_config_error_exit_2(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
-def test_cli_bad_sweep_values_exit_2(tmp_path):
+def test_cli_bad_sweep_values_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}})
     out = str(tmp_path / "o.csv")
-    for values in ("1,x", "-5"):
+    for parameter, values in (("gamma", "1,x"), ("gamma", "-5"),
+                              # these used to run 2 obstacles, exit 4 and raise OverflowError
+                              ("obstacle_count", "3,2.5"), ("obstacle_count", "nan"),
+                              ("obstacle_count", "inf")):
         assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "1",
-                     "--parameter", "gamma", "--values", values]) == 2
+                     "--parameter", parameter, "--values", values]) == 2
+        assert "config error: " in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exit_4(tmp_path, monkeypatch, capsys):
@@ -362,6 +366,20 @@ def test_cli_mistyped_config_value_exit_2(tmp_path, capsys):
         ({"robot": {"type": "dof2", "rods": [[5, 5]]}}, "robot.rods"),
         ({"obstacles": {"explicit": [{"center": [float("nan"), 0, 0], "size": 0.3}]}},
          "obstacles.explicit[0]"),
+        # these used to be read loosely: a misspelled key ignored, half_extents
+        # winning over size, True as a size of 1, a rotation stretching the box
+        ({"obstacles": {"explicit": [{"center": [0.5, 0, 0.3], "size": 0.3,
+                                      "rotaton": [[0, -1, 0], [1, 0, 0], [0, 0, 1]]}]}},
+         "obstacles.explicit[0]"),
+        ({"obstacles": {"explicit": [{"center": [0.5, 0, 0.3], "size": 0.3,
+                                      "half_extents": [0.1, 0.1, 0.1]}]}},
+         "obstacles.explicit[0]"),
+        ({"obstacles": {"explicit": [{"center": [0.5, 0, 0.3], "size": True}]}},
+         "obstacles.explicit[0]"),
+        ({"obstacles": {"explicit": [{"center": [0.5, 0, 0.3], "size": 0.3,
+                                      "rotation": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}]}},
+         "obstacles.explicit[0]"),
+        ({"obstacles": {"placement_radius": [0.3, 0.95]}}, "obstacles: unknown keys"),
     ):
         cfg = write_cfg(tmp_path, data)
         assert main(["static", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
@@ -416,6 +434,17 @@ def test_cli_save_and_load_model(tmp_path):
     assert code == 0
     recs = parse_report(tmp_path / "b.csv")
     assert recs[0].accuracy is not None
+
+
+def test_cli_unreadable_model_file_exit_2(tmp_path, capsys):
+    # a missing file used to end in a FileNotFoundError traceback, exit 1
+    cfg = write_cfg(tmp_path, {"robot": {"type": "dof2"}})
+    (tmp_path / "bad.txt").write_text("fastron v2\n")
+    for name in ("missing.txt", "bad.txt"):
+        assert main(["static", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                     "--load-model", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --load-model: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -589,7 +618,8 @@ def test_lazy_fill_guard_raises_on_an_over_evaluated_gram(case):
     model.set_data(X, np.ones(len(X)))
     _check_lazy_fill(model)  # nothing evaluated yet
     if case == "eager":
-        model.gram.full(model.X)  # all n^2 kernels
+        for j in range(model.n):  # all n^2 kernels
+            model.gram.ensure_column(model.X, j)
     else:
         model.gram.ensure_column(model.X, 0)
         model.gram.compact(np.arange(10))  # 120 evaluations, 10 rows, 1 column

@@ -10,6 +10,13 @@ from fastron.model import FastronModel, TrainParams
 from reference import eager_gram
 
 
+def fill(g, X):
+    """Every column computed, one ensure_column each; the matrix view."""
+    for j in range(g.n):
+        g.ensure_column(X, j)
+    return g.matrix
+
+
 @pytest.fixture
 def points():
     rng = np.random.default_rng(42)
@@ -46,7 +53,7 @@ def test_ensure_column_out_of_range(points):
 def test_full_fill_symmetric_and_exact(points):
     g = LazyGramMatrix(30.0)
     g.reset(len(points))
-    K = g.full(points).copy()
+    K = fill(g, points).copy()
     np.testing.assert_array_equal(K, K.T)  # 0 ulp symmetry
     np.testing.assert_array_equal(K, eager_gram(points, 30.0))
 
@@ -66,7 +73,7 @@ def test_positive_definite_on_distinct_points():
     X = rng.uniform(-1, 1, (200, 2))
     g = LazyGramMatrix(30.0)
     g.reset(len(X))
-    K = g.full(X)
+    K = fill(g, X)
     np.linalg.cholesky(K)  # raises if not positive definite
     assert np.linalg.eigvalsh(K).min() > 0.0
 
@@ -124,7 +131,7 @@ def test_capacity_hint_prevents_reallocation(points):
 def test_compact_preserves_exactness(points):
     g = LazyGramMatrix(30.0)
     g.reset(20)
-    g.full(points[:20])
+    fill(g, points[:20])
     keep = np.array([0, 3, 7, 11, 19])
     g.compact(keep)
     np.testing.assert_array_equal(g.matrix, eager_gram(points[:20][keep], 30.0))
@@ -165,7 +172,7 @@ def test_matrix_exact_through_fills_extend_compact_and_growth(points):
     assert g.reallocs == 1
     X = np.vstack([X, points[20:50]])
     assert_computed_columns_exact(g, X)
-    np.testing.assert_array_equal(g.full(X), eager_gram(X, 30.0))
+    np.testing.assert_array_equal(fill(g, X), eager_gram(X, 30.0))
 
 
 def _resident_bytes():
@@ -195,7 +202,7 @@ def test_append_points_multiplies_a_row_major_block():
     m = FastronModel(TrainParams(gamma=10.0), dim=3)
     m.set_data(X[:300], np.ones(300))
     m.alpha = rng.normal(size=300)
-    m.gram.full(m.X)  # every support point's column is computed
+    fill(m.gram, m.X)  # every support point's column is computed
     n_old = m.n
     m.append_points(X[300:], np.ones(100))
     K = eager_gram(X, 10.0)

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fastron.kernels import rq_kernel
-from fastron.model import DuplicatePointError, FastronModel, TrainParams
+from fastron.model import BATCH_BLOCK, DuplicatePointError, FastronModel, TrainParams
 
 from reference import eager_gram, fsum_hypothesis, model_loss
 
@@ -108,14 +109,6 @@ def test_batch_dimension_mismatch(Q):
         m.predict_batch(Q)
 
 
-@pytest.mark.parametrize("block", [0, -1, 2.5])
-def test_batch_rejects_block_below_one(block):
-    m = make_model([[0.3, -0.4]], [1])
-    m.train()
-    with pytest.raises(ValueError, match="block"):
-        m.hypothesis_batch(np.zeros((3, 2)), block=block)
-
-
 def test_far_query_tail_bound():
     # the kernel tail at gamma=30 bounds the score of a distant query:
     # the farthest pair in [-1,1]^4 is 4 apart, kernel (1 + 15*16)^-2
@@ -182,7 +175,9 @@ def test_scores_match_exact_expansion_property(d, gamma, n, block, seed):
     tol = 1e-12 * float(np.abs(m.alpha).sum()) + 1e-15
     single = np.array([m.hypothesis(q) for q in Q])
     assert np.all(np.abs(single - exact) <= tol)
-    assert np.all(np.abs(m.hypothesis_batch(Q, block=block) - exact) <= tol)
+    with mock.patch("fastron.model.BATCH_BLOCK", block):
+        batch = m.hypothesis_batch(Q)
+    assert np.all(np.abs(batch - exact) <= tol)
 
 
 def test_batch_prediction_matches_single():
@@ -220,7 +215,8 @@ def test_batch_sign_agrees_with_single_property(d, n, n_queries, block, seed):
     Q = rng.uniform(-1, 1, (n_queries, d))
     f = np.array([m.hypothesis(q) for q in Q])
     single = np.array([m.predict(q) for q in Q])
-    batch = m.predict_batch(Q, block=block)
+    with mock.patch("fastron.model.BATCH_BLOCK", block):
+        batch = m.predict_batch(Q)
     assert batch.shape == (n_queries,)
     decided = np.abs(f) > 1e-9 * float(np.abs(m.alpha).sum())
     assert np.array_equal(batch[decided], single[decided])
@@ -231,18 +227,18 @@ def test_batch_sign_agrees_with_single_property(d, n, n_queries, block, seed):
 def test_batch_peak_memory_is_one_block_buffer():
     # a (block, |S|, d) difference tensor would need about 9x block*|S|*8 bytes
     rng = np.random.default_rng(3)
-    d, n, block = 4, 500, 1024
+    d, n = 4, 500
     m = make_model(rng.uniform(-1, 1, (n, d)), np.ones(n), gamma=10.0)
     m.alpha = rng.normal(size=n)
     Q = rng.uniform(-1, 1, (1024, d))
     m.predict_batch(Q[:1])  # builds the cached support arrays
     tracemalloc.start()
     try:
-        m.predict_batch(Q, block=block)
+        m.predict_batch(Q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * block * m.support_count * 8
+    assert peak < 3 * BATCH_BLOCK * m.support_count * 8
 
 
 # ----------------------------------------------------------------------
@@ -387,8 +383,9 @@ def test_sparsify_gram_matches_eager():
     m = make_model(X, y)
     m.train()
     m.sparsify()
-    K = m.gram.full(m.X)
-    np.testing.assert_array_equal(K, eager_gram(m.X, 30.0))
+    for j in range(m.n):
+        m.gram.ensure_column(m.X, j)
+    np.testing.assert_array_equal(m.gram.matrix, eager_gram(m.X, 30.0))
 
 
 # ----------------------------------------------------------------------

@@ -287,6 +287,24 @@ def test_repair_overall_failure_when_oracle_rejects_start():
     assert repair_plan(plan, invalid, oracle, edge_resolution=0.05, seed=3) is None
 
 
+def test_repair_lets_an_oracle_fault_through():
+    # only a colliding bridge end point reads as "not certified": the
+    # oracle's own ValueError, raised mid-bridge, is a fault
+    disc = Disc([0.0, 0.0], 0.12)
+    wps = [np.array([x, 0.0]) for x in (-0.6, -0.3, 0.0, 0.3, 0.6)]
+    plan = MotionPlan(wps)
+    invalid = verify_plan(plan, disc, 0.05)
+
+    def faulty(p):
+        if disc.calls >= 2:  # after the bridge's two end point checks
+            raise ValueError("oracle fault")
+        return disc(p)
+
+    disc.calls = 0
+    with pytest.raises(ValueError, match="oracle fault"):
+        repair_plan(plan, invalid, faulty, edge_resolution=0.05, seed=0)
+
+
 def _edge_samples(a, b, resolution):
     seen = []
     assert edge_valid(a, b, lambda p: seen.append(p.tobytes()) is None, resolution)
@@ -366,4 +384,7 @@ def test_plan_and_certify_checks_a_start_equals_goal_plan(planner):
     assert verify_plan(MotionPlan([q]), oracle, 0.05) == [0]
     assert verify_plan(MotionPlan([q]), all_free, 0.05) == []
     plan, *_ = plan_and_certify(planner, PlanQuery(q, q, all_free), oracle, 0.05)
-    assert plan is None
+    # repair fails, as its planners reject the colliding end point; the
+    # planner's plan comes back uncertified, since None means "no plan"
+    assert plan is not None and not plan.certified
+    assert [w.tolist() for w in plan.waypoints] == [q.tolist()]
