@@ -6,7 +6,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..geometry import make_label_fn
+from ..geometry import label_points, make_label_fn
 from ..model import FastronModel
 from ..planning import PLANNERS, plan_and_certify
 from ..sampling import update_cycle
@@ -59,7 +59,7 @@ class Scene:
         X = self.rng("train").uniform(-1.0, 1.0, (n0, self.chain.dof))
         model = self.new_model()
         t0 = perf_counter()
-        model.set_data(X, np.fromiter(map(self.label, X), dtype=np.float64, count=n0))
+        model.set_data(X, label_points(self.label, X))
         model.train()
         _check_lazy_fill(model)
         model.sparsify()
@@ -115,7 +115,7 @@ def median_call_times(fns, queries, calls: int, batch: int) -> list[float]:
 def _evaluate(rec: MetricsRecord, model: FastronModel, label_fn, scene: Scene, rng) -> None:
     """Score ``model`` against ``label_fn`` on the scene's holdout count of points from ``rng``."""
     Q = rng.uniform(-1.0, 1.0, (scene.cfg.eval.holdout, scene.chain.dof))
-    truth = np.fromiter((label_fn(q) for q in Q), dtype=np.int64, count=len(Q))
+    truth = label_points(label_fn, Q).astype(np.int64)
     pred = model.predict_batch(Q)
     pos = truth == 1
     neg = ~pos

@@ -26,6 +26,10 @@ def build_chain(cfg: ScenarioConfig) -> KinematicChain:
     return KinematicChain([(l, rad) for l, rad in r.rods], link_shape=r.link_shape)
 
 
+def _holds_bool(val) -> bool:
+    return isinstance(val, bool) or isinstance(val, (list, tuple)) and any(map(_holds_bool, val))
+
+
 def explicit_body(spec: dict) -> Box:
     """The box of one ``obstacles.explicit`` entry: a ``center``, either a cube's
     ``size`` or ``half_extents``, and an optional ``rotation``."""
@@ -34,8 +38,9 @@ def explicit_body(spec: dict) -> Box:
         raise ValueError(f"unknown keys {sorted(unknown)}")
     if "size" in spec and "half_extents" in spec:
         raise ValueError("give 'size' or 'half_extents', not both")
-    if isinstance(spec.get("size"), bool):  # a number to Python, not to the config
-        raise TypeError(f"size must be a number, got {spec['size']!r}")
+    for key in ("center", "size", "half_extents", "rotation"):
+        if _holds_bool(spec.get(key)):  # a number to Python, not to the config
+            raise TypeError(f"{key} must hold numbers, not booleans, got {spec[key]!r}")
     half = spec["half_extents"] if "half_extents" in spec else [spec["size"] / 2.0] * 3
     return Box(spec["center"], half, spec.get("rotation"))
 

@@ -14,6 +14,10 @@ certifies separation for the query at hand, so a stale axis, or one a
 concurrent call wrote, cannot make a label wrong. A label may depend on
 earlier calls in one way only: a remembered axis can prove apart a pair
 on which GJK gives up with its conservative True, giving -1 for +1.
+``label_points`` labels a whole set in Z-order, so consecutive queries
+are near neighbours whose remembered axes keep certifying; through the
+same conservative case, a label may thus also depend on the order of the
+other points of its set.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "to_input_space",
     "from_input_space",
     "make_label_fn",
+    "label_points",
 ]
 
 Vec3 = tuple[float, float, float]
@@ -479,3 +484,28 @@ def make_label_fn(chain: KinematicChain, workspace: Workspace):
         return _links_label(pose(joints(p)), obstacles, axes)
 
     return label
+
+
+def label_points(label, P) -> np.ndarray:
+    """Labels of the rows of ``P`` as float64, in row order; each row is labeled once.
+
+    Rows are visited in Morton (Z-order) order on a 2^bits grid per axis,
+    bits = min(8, 62 // d) so the interleaved key fits an int64: consecutive
+    queries are then near neighbours, and a labeler's remembered axes keep
+    certifying (see the module docstring). Callers that stop early or
+    depend on order -- planners, ``verify_plan``, timed single queries --
+    call the labeler point by point instead.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    d = P.shape[1]
+    bits = max(1, min(8, 62 // d))
+    # fmax and fmin put a NaN coordinate in cell 0, for the labeler to reject
+    g = np.fmin(np.fmax(np.floor((P + 1.0) * 2.0 ** (bits - 1)), 0), 2**bits - 1).astype(np.int64)
+    key = np.zeros(P.shape[0], dtype=np.int64)
+    for b in range(bits - 1, -1, -1):
+        for k in range(d):
+            key = (key << 1) | ((g[:, k] >> b) & 1)
+    order = np.argsort(key, kind="stable")
+    y = np.empty(P.shape[0], dtype=np.float64)
+    y[order] = [label(p) for p in P[order]]
+    return y

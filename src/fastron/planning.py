@@ -42,6 +42,8 @@ __all__ = [
 
 CheckerFn = Callable[[np.ndarray], bool]
 
+_EDGE_BLOCK = 256
+
 
 @dataclass
 class PlanQuery:
@@ -86,12 +88,16 @@ def edge_valid(a, b, checker: CheckerFn, resolution: float) -> bool:
     check_float("resolution", resolution, 0.0, strict=True)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    dist = float(np.linalg.norm(b - a))
-    steps = max(1, math.ceil(dist / resolution))
-    delta = (b - a) / steps
-    for k in range(steps + 1):
-        if not checker(a + k * delta):
-            return False
+    ab = b - a
+    steps = max(1, math.ceil(math.sqrt(ab.dot(ab)) / resolution))
+    delta = ab / steps
+    # sample k is a + k * delta, made _EDGE_BLOCK at a time so that a fine
+    # resolution costs checks, not memory
+    for k in range(0, steps + 1, _EDGE_BLOCK):
+        ks = np.arange(k, min(k + _EDGE_BLOCK, steps + 1), dtype=np.float64)
+        for p in a + ks[:, None] * delta:
+            if not checker(p):
+                return False
     return True
 
 
@@ -136,7 +142,7 @@ def _extend(tree: _Tree, target: np.ndarray, checker, step_size, res) -> int | N
     j = tree.nearest(target)
     near = tree.pts[j]
     step = target - near
-    dist = float(np.linalg.norm(step))
+    dist = math.sqrt(step.dot(step))
     if dist == 0.0:
         return None
     new = target if dist <= step_size else near + (step_size / dist) * step

@@ -6,7 +6,11 @@ around each support point, and the exploration stage fills the remainder
 of the budget with uniform samples to catch obstacles that appear in
 unpredictable places. One update cycle relabels every retained point,
 retrains, sparsifies, and queues the next active set -- so the oracle is
-consulted exactly ``|S| + a_max`` times per cycle.
+consulted exactly ``|S| + a_max`` times per cycle. Both the initial set and
+each relabel go through ``geometry.label_points``, which visits the rows in
+Z-order, so consecutive queries are near neighbours and the labeler's
+remembered separating axes keep certifying; ``model.X`` and every random
+draw keep their order.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._checks import check_float, check_int
+from .geometry import label_points
 from .model import FastronModel, TrainReport
 
 __all__ = ["SamplerParams", "resolved_sigma", "generate_active_set", "update_cycle"]
@@ -113,11 +118,9 @@ def update_cycle(model: FastronModel, oracle: LabelFn, params: SamplerParams) ->
     rng = _cycle_rng(params, model.update_cycles)
     if model.n == 0:
         X0 = rng.uniform(-1.0, 1.0, (params.n_initial, model.dim))
-        y0 = np.array([oracle(x) for x in X0], dtype=np.float64)
-        model.set_data(X0, y0)
+        model.set_data(X0, label_points(oracle, X0))
     else:
-        y = np.array([oracle(x) for x in model.X], dtype=np.float64)
-        model.set_labels(y)
+        model.set_labels(label_points(oracle, model.X))
     report = model.train()
     model.sparsify()
     sp = replace(params, sigma=resolved_sigma(params, model.params.gamma))

@@ -376,6 +376,16 @@ def test_cli_mistyped_config_value_exit_2(tmp_path, capsys):
          "obstacles.explicit[0]"),
         ({"obstacles": {"explicit": [{"center": [0.5, 0, 0.3], "size": True}]}},
          "obstacles.explicit[0]"),
+        # booleans inside the lists used to be read as 1.0 and 0.0
+        ({"obstacles": {"explicit": [{"center": [True, 0, 0.3], "size": 0.3}]}},
+         "obstacles.explicit[0]: center must hold numbers"),
+        ({"obstacles": {"explicit": [{"center": [0.5, 0, 0.3],
+                                      "half_extents": [0.1, True, 0.1]}]}},
+         "obstacles.explicit[0]: half_extents must hold numbers"),
+        ({"obstacles": {"explicit": [{"center": [0.5, 0, 0.3], "size": 0.3,
+                                      "rotation": [[True, False, False], [0, 1, 0],
+                                                   [0, 0, 1]]}]}},
+         "obstacles.explicit[0]: rotation must hold numbers"),
         ({"obstacles": {"explicit": [{"center": [0.5, 0, 0.3], "size": 0.3,
                                       "rotation": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}]}},
          "obstacles.explicit[0]"),

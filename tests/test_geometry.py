@@ -18,6 +18,7 @@ from fastron.geometry import (
     Workspace,
     from_input_space,
     kcd_label,
+    label_points,
     make_label_fn,
     to_input_space,
     two_dof_rod,
@@ -334,6 +335,63 @@ def test_label_fn_memory_answers_as_kcd_label(config, shape):
         want = [kcd_label(chain, ws, from_input_space(p, chain)) for p in P]
         assert got == want
         assert -1 in got and 1 in got
+
+
+def _scene_workspaces(path):
+    # the seed-0 scene of a shipped config; a moving one at its first and last step
+    cfg = load_config(json.loads(path.read_text()))
+    scene = Scene(cfg, 0)
+    workspaces = [scene.workspace]
+    if cfg.obstacles.motion_steps > 1:
+        last = scene.workspace
+        for _ in range(cfg.obstacles.motion_steps - 1):
+            last = last.stepped()
+        workspaces.append(last)
+    return scene.chain, workspaces
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_label_points_answers_as_kcd_label_on_every_shipped_scene(path):
+    # Z-order visits change which axes are remembered, never a label: on
+    # uniform points and along edges, label_points gives kcd_label's answers
+    chain, workspaces = _scene_workspaces(path)
+    rng = np.random.default_rng(9)
+    uniform = rng.uniform(-1, 1, (20000, chain.dof))
+    along = []  # the points edge_valid checks at 0.025 on a chain of random edges
+    ends = rng.uniform(-1, 1, (100, chain.dof))
+    for a, b in zip(ends[:-1], ends[1:]):
+        edge_valid(a, b, lambda p: along.append(p.copy()) is None, 0.025)
+    P = np.concatenate([uniform, along])
+    for ws in workspaces:
+        got = label_points(make_label_fn(chain, ws), P)
+        want = [kcd_label(chain, ws, from_input_space(p, chain)) for p in P]
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+        assert -1 in want and 1 in want
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (1, 1), (1, 2), (400, 1), (400, 2), (400, 4), (400, 8)])
+def test_label_points_labels_each_row_once_in_row_order(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    P = rng.uniform(-1, 1, (n, d))
+    if n > 1:
+        P[:50] = rng.choice([-1.0, 1.0], (50, d))  # rows on the faces and corners
+        P[50:80] = P[80:110]  # duplicate rows
+    w = rng.uniform(-1, 1, d)
+    seen = []
+
+    def label(p):
+        seen.append(p.copy())
+        return 1 if p.dot(w) > 0 else -1
+
+    y = label_points(label, P)
+    assert y.dtype == np.float64 and y.shape == (n,)
+    assert y.tolist() == [1.0 if p.dot(w) > 0 else -1.0 for p in P]
+    assert sorted(p.tobytes() for p in seen) == sorted(p.tobytes() for p in P)
+    if n > 1:  # visited as near neighbours: shorter steps than in row order
+        def walk(Q):
+            return float(np.linalg.norm(np.diff(Q, axis=0), axis=1).sum())
+        assert walk(np.array(seen)) < 0.7 * walk(P)
 
 
 def test_label_fn_does_not_trust_a_stale_axis():

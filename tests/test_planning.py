@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,21 @@ def test_edge_valid_agrees_with_finer_resolution():
             continue
         checked += 1
         assert edge_valid(a, b, chk, 0.02) == edge_valid(a, b, chk, 0.002)
+
+
+def test_edge_valid_samples_are_bitwise_a_plus_k_delta():
+    # sample k of an edge is a + k * delta with delta = (b - a) / steps, bitwise
+    rng = np.random.default_rng(13)
+    edges = [(a, a.copy()) for a in rng.uniform(-1, 1, (5, 2))]
+    edges += [(a, a + rng.uniform(-0.01, 0.01, 4)) for a in rng.uniform(-0.9, 0.9, (5, 4))]
+    edges += list(zip(rng.uniform(-1, 1, (20, 3)), rng.uniform(-1, 1, (20, 3))))
+    edges.append((-np.ones(4), np.ones(4)))
+    for a, b in edges:
+        for res in (0.005, 0.025, 0.05, 0.3, 5.0):  # 0.005: several sample blocks
+            steps = max(1, math.ceil(float(np.linalg.norm(b - a)) / res))
+            delta = (b - a) / steps
+            want = [(a + k * delta).tobytes() for k in range(steps + 1)]
+            assert _edge_samples(a, b, res) == want
 
 
 def test_edge_valid_requires_positive_resolution():

@@ -178,6 +178,32 @@ def test_cycle_deterministic_given_seeds():
     np.testing.assert_array_equal(a.alpha, b.alpha)
 
 
+def test_update_cycle_labels_each_row_once_in_row_order():
+    # the initial set and every relabeled model.X go through label_points:
+    # each row reaches the oracle once, and its label lands on its own row
+    model = make_cycle_model()
+    oracle = FlatOracle([1.0, 0.2])
+    seen, handed = [], []
+
+    def recording(p):
+        seen.append(p.tobytes())
+        return oracle(p)
+
+    for name in ("set_data", "set_labels"):
+        method = getattr(model, name)
+        setattr(model, name, lambda *args, m=method: handed.append(args) or m(*args))
+    params = SamplerParams(a_max=200, kappa=4, seed=0, n_initial=800)
+    for cycle in range(4):
+        X = model.X.copy()
+        seen.clear()
+        handed.clear()
+        update_cycle(model, recording, params)
+        (args,) = handed
+        X, y = args if cycle == 0 else (X, args[0])
+        assert sorted(seen) == sorted(x.tobytes() for x in X)
+        assert y.tolist() == [oracle(x) for x in X]
+
+
 def test_update_cycle_counter_is_explicit_state():
     model = make_cycle_model()
     assert model.update_cycles == 0
