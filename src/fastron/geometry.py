@@ -12,12 +12,12 @@ Chains and workspaces are immutable after construction. Each labeler of
 proved the pair apart and tries it before GJK. It counts only if it
 certifies separation for the query at hand, so a stale axis, or one a
 concurrent call wrote, cannot make a label wrong. A label may depend on
-earlier calls in one way only: a remembered axis can prove apart a pair
-on which GJK gives up with its conservative True, giving -1 for +1.
-``label_points`` labels a whole set in Z-order, so consecutive queries
-are near neighbours whose remembered axes keep certifying; through the
-same conservative case, a label may thus also depend on the order of the
-other points of its set.
+earlier calls only where GJK gives up with its conservative True, inside
+its tolerance band or at its iteration cap: a remembered axis can prove
+such a pair apart, giving -1 for +1. ``label_points`` labels a whole set
+in Z-order, so consecutive queries are near neighbours whose remembered
+axes keep certifying; through the same conservative case, a label may
+thus also depend on the order of the other points of its set.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class Capsule:
     __slots__ = ("p0", "p1", "radius")
 
     def __init__(self, p0, p1, radius: float):
-        if not radius > 0.0:
-            raise ValueError("capsule radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("capsule radius must be positive and finite")
         self.p0: Vec3 = (float(p0[0]), float(p0[1]), float(p0[2]))
         self.p1: Vec3 = (float(p1[0]), float(p1[1]), float(p1[2]))
         self.radius = float(radius)
@@ -161,9 +161,9 @@ def _handle_segment(s):
     abx, aby, abz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
     aox, aoy, aoz = -a[0], -a[1], -a[2]
     if abx * aox + aby * aoy + abz * aoz > 0.0:
-        return _triple(abx, aby, abz, aox, aoy, aoz, abx, aby, abz)
+        return False, _triple(abx, aby, abz, aox, aoy, aoz, abx, aby, abz)
     s[:] = [a]
-    return (aox, aoy, aoz)
+    return False, (aox, aoy, aoz)
 
 
 def _handle_triangle(s):
@@ -177,7 +177,7 @@ def _handle_triangle(s):
     if nx * nx + ny * ny + nz * nz < 1e-30:
         # degenerate (collinear) triangle: fall back to the newest edge
         s[:] = [b, a]
-        return False, _handle_segment(s)
+        return _handle_segment(s)
     # outside the AC edge?
     px, py, pz = ny * acz - nz * acy, nz * acx - nx * acz, nx * acy - ny * acx
     if px * aox + py * aoy + pz * aoz > 0.0:
@@ -185,12 +185,12 @@ def _handle_triangle(s):
             s[:] = [c, a]
             return False, _triple(acx, acy, acz, aox, aoy, aoz, acx, acy, acz)
         s[:] = [b, a]
-        return False, _handle_segment(s)
+        return _handle_segment(s)
     # outside the AB edge?
     qx, qy, qz = aby * nz - abz * ny, abz * nx - abx * nz, abx * ny - aby * nx
     if qx * aox + qy * aoy + qz * aoz > 0.0:
         s[:] = [b, a]
-        return False, _handle_segment(s)
+        return _handle_segment(s)
     d = nx * aox + ny * aoy + nz * aoz
     if d > 0.0:
         return False, (nx, ny, nz)
@@ -203,8 +203,9 @@ def _handle_triangle(s):
 
 def _handle_tetrahedron(s):
     d_, c, b, a = s
-    # test the three faces that contain the newest vertex a; the origin is
-    # enclosed iff it is on the inner side of all of them
+    # descend into the face at the newest vertex a that the origin lies furthest
+    # outside (a fixed first-face order can cycle); enclosed iff outside none
+    best, face = 0.0, None
     for p, q, r in ((b, c, d_), (c, d_, b), (d_, b, c)):
         apx, apy, apz = p[0] - a[0], p[1] - a[1], p[2] - a[2]
         aqx, aqy, aqz = q[0] - a[0], q[1] - a[1], q[2] - a[2]
@@ -216,29 +217,30 @@ def _handle_tetrahedron(s):
         if nx * arx + ny * ary + nz * arz > 0.0:
             nx, ny, nz = -nx, -ny, -nz
             p, q = q, p
-        if nx * -a[0] + ny * -a[1] + nz * -a[2] > 0.0:
-            s[:] = [q, p, a]
-            return _handle_triangle(s)
-    return True, (0.0, 0.0, 0.0)
+        side = nx * -a[0] + ny * -a[1] + nz * -a[2]
+        if side > 0.0:
+            side /= math.sqrt(nx * nx + ny * ny + nz * nz)
+            if face is None or side > best:
+                best, face = side, [q, p, a]
+    if face is None:
+        return True, (0.0, 0.0, 0.0)
+    s[:] = face
+    return _handle_triangle(s)
 
 
-def _handle_simplex(s):
-    k = len(s)
-    if k == 2:
-        return False, _handle_segment(s)
-    if k == 3:
-        return _handle_triangle(s)
-    return _handle_tetrahedron(s)
+_STEPS = (None, None, _handle_segment, _handle_triangle, _handle_tetrahedron)
 
 
 def gjk_intersect(a, b) -> bool:
     """True iff two convex bodies intersect; touching counts.
 
     Walks a simplex of Minkowski-difference support points toward the
-    origin. Separation is reported only on a certified separating
-    direction (normalized support progress below -1e-10); the ambiguous
-    terminations -- progress inside the tolerance band, or the iteration
-    cap -- return True, the conservative answer for collision checking.
+    origin; a tetrahedron descends into the face at its newest vertex that
+    the origin lies furthest outside, as a fixed face order can cycle.
+    Separation is reported only on a certified separating direction
+    (normalized support progress below -1e-10); the ambiguous terminations
+    -- progress inside the tolerance band, or the iteration cap -- return
+    True, the conservative answer for collision checking.
     """
     return _gjk(a, b)[0]
 
@@ -270,7 +272,7 @@ def _gjk(a, b):
         if progress < _GJK_TOL:
             return True, None
         simplex.append(w)
-        hit, (dx, dy, dz) = _handle_simplex(simplex)
+        hit, (dx, dy, dz) = _STEPS[len(simplex)](simplex)
         if hit:
             return True, None
     return True, None
@@ -413,6 +415,8 @@ class Workspace:
         )
         if self.velocities is not None and len(self.velocities) != len(self.obstacles):
             raise ValueError("one velocity per obstacle required")
+        if self.velocities is not None and not all(math.isfinite(c) for v in self.velocities for c in v):
+            raise ValueError("obstacle velocities must be finite")
         self.bounds = bounds or ((-0.9, -0.9, 0.0), (0.9, 0.9, 0.9))
 
     def stepped(self) -> "Workspace":

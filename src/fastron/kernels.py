@@ -39,6 +39,8 @@ import mmap
 
 import numpy as np
 
+from ._checks import check_float
+
 __all__ = ["rq_kernel", "rq_kernel_vector", "LazyGramMatrix"]
 
 
@@ -71,8 +73,7 @@ def rq_kernel(x, y, gamma: float) -> float:
     float
         A similarity in (0, 1]; exactly 1 iff x == y. Symmetric in x, y.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    check_float("gamma", gamma, 0.0, strict=True)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
@@ -97,7 +98,7 @@ def rq_kernel_vector(X: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _zero_buffer(cap: int) -> np.ndarray:
-    """A (cap, cap) float64 zero array whose pages become resident only when written.
+    """A (cap, cap) float64 zero array on the buffer mapping of the module docstring.
 
     ACCESS_COPY makes the anonymous mapping private: a shared one is backed
     by shared memory, whose page faults cost more.
@@ -121,15 +122,11 @@ class LazyGramMatrix:
     computed flag is set. The diagonal of a computed column is exactly 1.
     Column j lives in buffer row j, so :meth:`ensure_column` returns a
     contiguous row and :attr:`matrix` is the transposed view of the
-    buffer's live block. The buffer is a demand-zero mapping that stays
-    off huge pages: numpy's huge-page advice for large arrays would make
-    a sparsely written buffer resident in 2 MB units; here only the 4 KB
-    pages that hold written rows become resident.
+    buffer's live block.
     """
 
     def __init__(self, gamma: float, capacity: int = 0):
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        check_float("gamma", gamma, 0.0, strict=True)
         self.gamma = float(gamma)
         self._buf = _zero_buffer(capacity)
         self._computed = np.zeros(capacity, dtype=bool)
@@ -199,11 +196,12 @@ class LazyGramMatrix:
         self.n = m
 
     def complete_and_extend(self, X_old: np.ndarray, X_new: np.ndarray) -> None:
-        """Grow by ``len(X_new)`` points, completing partially filled columns.
+        """Grow by ``len(X_new)`` points, filling the new rows of every retained column.
 
-        Columns computed before the resize only cover the old rows; their
-        new rows are filled here so hypothesis values for the added points
-        can be read off directly. The added columns stay lazy.
+        Precondition: every retained column is computed. The one caller,
+        ``FastronModel.append_points``, refuses a zero weight, and every
+        nonzero weight has a computed column. Hypothesis values for the
+        added points can then be read off directly; the added columns stay lazy.
         """
         n_old = self.n
         if len(X_old) != n_old:
@@ -212,11 +210,8 @@ class LazyGramMatrix:
         n = n_old + n_add
         self._grow(n)
         if n_add:
-            cols = np.flatnonzero(self._computed[:n_old])
-            if cols.size:
-                # one buffer row per computed column: the block K[n_old:, cols].T
-                block = rq_kernel_vector(X_old[cols][:, None, :], X_new, self.gamma)
-                self._buf[cols, n_old:n] = block
-                self.kernel_evals += n_add * cols.size
+            # one buffer row per retained column: the block K[n_old:, :n_old].T
+            self._buf[:n_old, n_old:n] = rq_kernel_vector(X_old[:, None, :], X_new, self.gamma)
+            self.kernel_evals += n_add * n_old
             self._computed[n_old:n] = False
         self.n = n

@@ -456,5 +456,4 @@ class FastronModel:
         for j in range(ns):
             model.gram.ensure_column(model.X, j)
         model.F = model.gram.matrix.T @ alpha
-        model._sv = None
         return model

@@ -256,6 +256,12 @@ def test_box_rejects_non_finite_center_and_half_extents(center, half):
         Box(center, half)
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+def test_capsule_rejects_radius_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        Capsule((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), radius)
+
+
 # ----------------------------------------------------------------------
 # labeling
 
@@ -491,6 +497,14 @@ def test_workspace_step_translates_and_bounces():
     assert ws1.velocities[0][0] == pytest.approx(-0.1)
     ws2 = ws1.stepped()
     assert ws2.obstacles[0].center[0] == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("velocity", [(math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0)])
+def test_workspace_rejects_non_finite_velocities(velocity):
+    # a NaN velocity used to surface only at the first step, as a bad box center
+    with pytest.raises(ValueError, match="velocities must be finite"):
+        Workspace([Box((0.0, 0.0, 0.5), (0.1, 0.1, 0.1))], velocities=[velocity],
+                  bounds=((-0.9, -0.9, 0.0), (0.9, 0.9, 0.9)))
 
 
 def test_workspace_without_motion_is_static():

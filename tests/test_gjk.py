@@ -3,6 +3,7 @@ import pytest
 
 from fastron.geometry import Box, Capsule, gjk_intersect
 
+from perfbench.reference import segment_box_distance as exact_segment_box_distance
 from reference import obb_sat_batch, random_rotation, segment_box_distance, segment_distance
 
 
@@ -124,8 +125,71 @@ def test_known_false_positive_case_is_clear():
     assert _clearance(_CLEAR_CAPSULE, _CLEAR_BOX) > 0.01
 
 
-@pytest.mark.xfail(strict=True, reason="the simplex walk cycles without certifying "
-                                       "separation and the iteration cap answers True")
 def test_capsule_clear_of_box_is_separated():
     assert _clearance(_CLEAR_CAPSULE, _CLEAR_BOX) > 0.01
     assert gjk_intersect(_CLEAR_CAPSULE, _CLEAR_BOX) is False
+
+
+# two rotated boxes 0.0198 apart by SAT: a tetrahedron step that descends
+# into the first outside face in a fixed order cycles on (A, B) to the cap
+_APART_A = Box([0.5773190309701783, 0.07019588225963069, -0.9568059197290175],
+               [0.3160075545983923, 0.3435789585654125, 0.34574849944400177],
+               [[0.7182821367036794, -0.5141867578446065, -0.46870326449647143],
+                [0.1379273748433002, -0.5550597952358309, 0.8202954729739725],
+                [-0.6819434077408719, -0.6538505959085834, -0.32776910603160486]])
+_APART_B = Box([0.4838747272926297, 0.2744608838397341, -0.207638706303356],
+               [0.1872696201477544, 0.07875623354183442, 0.3586318965454626],
+               [[0.9614489293227624, 0.23377889975548471, 0.14478736938431283],
+                [-0.24131222750995263, 0.46483198502181466, 0.8518800587846063],
+                [0.13184978254930604, -0.8539781330513062, 0.5033259213590199]])
+
+
+@pytest.mark.parametrize("a, b", [(_APART_A, _APART_B), (_APART_B, _APART_A)])
+def test_rotated_boxes_clear_by_sat_are_separated(a, b):
+    hit, margin = obb_sat_batch(*(np.array([v]) for v in (a.center, a.half, a.rot,
+                                                           b.center, b.half, b.rot)))
+    assert not hit[0] and margin[0] > 0.01
+    assert gjk_intersect(a, b) is False
+
+
+PROPERTY_PAIRS = 20000
+CONTACT_BAND = 1e-7
+
+
+def _assert_exact(pairs, clearance):
+    # gjk_intersect is True iff the clearance is <= 0, in both argument
+    # orders; pairs within CONTACT_BAND of contact are skipped
+    checked = 0
+    for (a, b), c in zip(pairs, clearance):
+        if abs(c) < CONTACT_BAND:
+            continue
+        assert gjk_intersect(a, b) == gjk_intersect(b, a) == (c <= 0.0), f"clearance {c}"
+        checked += 1
+    assert checked > 0.99 * len(pairs)
+
+
+def test_capsules_against_axis_aligned_boxes_are_exact():
+    rng = np.random.default_rng(24)
+    n = PROPERTY_PAIRS
+    p0, p1 = rng.uniform(-1, 1, (2, n, 3))
+    centers = rng.uniform(-0.5, 0.5, (n, 3))
+    radii = rng.uniform(0.02, 0.3, n)
+    halves = rng.uniform(0.05, 0.5, (n, 3))
+    clearance = exact_segment_box_distance(p0, p1, centers - halves, centers + halves) - radii
+    pairs = [(Capsule(p0[k], p1[k], radii[k]), Box(centers[k], halves[k])) for k in range(n)]
+    assert 0.25 * n < np.count_nonzero(clearance <= 0.0) < 0.75 * n
+    _assert_exact(pairs, clearance)
+
+
+def test_rotated_boxes_are_exact():
+    rng = np.random.default_rng(25)
+    n = PROPERTY_PAIRS
+    ca = rng.uniform(-1, 1, (n, 3))
+    cb = ca + rng.uniform(-0.8, 0.8, (n, 3))
+    ha, hb = rng.uniform(0.05, 0.5, (2, n, 3))
+    Ra = np.stack([random_rotation(rng) for _ in range(n)])
+    Rb = np.stack([random_rotation(rng) for _ in range(n)])
+    _, margin = obb_sat_batch(ca, ha, Ra, cb, hb, Rb)
+    pairs = [(Box(ca[k], ha[k], Ra[k]), Box(cb[k], hb[k], Rb[k])) for k in range(n)]
+    assert 0.25 * n < np.count_nonzero(margin <= 0.0) < 0.75 * n
+    _assert_exact(pairs, margin)

@@ -103,16 +103,18 @@ def test_complete_and_extend_matches_eager(points):
     assert not g.column_computed(4)
 
 
-def test_complete_and_extend_only_touches_computed_columns(points):
+def test_complete_and_extend_fills_every_retained_column_in_one_block(points):
     g = LazyGramMatrix(30.0)
     g.reset(4)
     g.ensure_column(points[:4], 1)
+    flags = [g.column_computed(j) for j in range(4)]
     evals = g.kernel_evals
     g.complete_and_extend(points[:4], points[4:7])
-    # only the single computed column gains the 3 new rows
-    assert g.kernel_evals == evals + 3
+    # every retained column gains the 3 new rows; computed flags are unchanged
+    assert g.kernel_evals == evals + 3 * 4
+    assert [g.column_computed(j) for j in range(4)] == flags
     K7 = eager_gram(points[:7], 30.0)
-    np.testing.assert_array_equal(g.matrix[:, 1], K7[:, 1])
+    np.testing.assert_array_equal(g.matrix[4:, :4], K7[4:, :4])
 
 
 def test_capacity_hint_prevents_reallocation(points):

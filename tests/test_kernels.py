@@ -43,6 +43,15 @@ def test_nonpositive_gamma_rejected():
         gaussian_kernel([0.0], [1.0], -1.0)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+def test_kernels_reject_gamma_not_finite_and_positive(gamma):
+    # a NaN gamma used to pass both checks and give NaN kernel values
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        rq_kernel([0.0, 0.0], [1.0, 1.0], gamma)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        LazyGramMatrix(gamma)
+
+
 def test_symmetry_random_pairs():
     rng = np.random.default_rng(0)
     for _ in range(1000):
