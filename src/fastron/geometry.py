@@ -417,7 +417,16 @@ class Workspace:
             raise ValueError("one velocity per obstacle required")
         if self.velocities is not None and not all(math.isfinite(c) for v in self.velocities for c in v):
             raise ValueError("obstacle velocities must be finite")
-        self.bounds = bounds or ((-0.9, -0.9, 0.0), (0.9, 0.9, 0.9))
+        if bounds is None:
+            bounds = ((-0.9, -0.9, 0.0), (0.9, 0.9, 0.9))
+        try:
+            lo, hi = (tuple(float(c) for c in b) for b in bounds)
+        except (TypeError, ValueError):
+            lo = hi = ()
+        if not (len(lo) == len(hi) == 3 and all(-math.inf < l < h < math.inf for l, h in zip(lo, hi))):
+            raise ValueError(f"bounds must be two finite 3-vectors (lo, hi) with lo < hi "
+                             f"on each axis, got {bounds!r}")
+        self.bounds = (lo, hi)
 
     def stepped(self) -> "Workspace":
         """Advance every obstacle one step, bouncing off the motion bounds."""

@@ -13,12 +13,14 @@ also equal numpy's ``(diff * diff).sum()``, whose pairwise sum is
 sequential below 8 elements; from d = 8 on numpy unrolls its sum by 8 and
 the two differ in the last bits.
 
-A LazyGramMatrix stores Gram column j in buffer row j: K is symmetric, so
-a column fill is one contiguous write and the training loop reads its
-column contiguously. ``matrix`` is therefore the transposed view of the
-buffer. A product that must keep the bits of a row-major matrix
-multiplies a C-contiguous block (``np.ascontiguousarray``), not that
-view: BLAS sums a transposed operand in another order.
+A LazyGramMatrix lives for one training run: it fills the columns that
+training touches, and sparsify discards them. It stores Gram column j in
+buffer row j: K is symmetric, so a column fill is one contiguous write
+and the training loop reads its column contiguously. ``matrix`` is
+therefore the transposed view of the buffer. What a model carries from
+one training run to the next is its weights and hypothesis values;
+appended points get theirs from :func:`rq_kernel_product`, which
+evaluates the rows ``K(A, X)`` a block at a time and is never stored.
 
 The buffer is a private anonymous demand-zero mapping advised against
 huge pages, not an ``np.zeros`` array. Training writes a small share of its
@@ -41,20 +43,25 @@ import numpy as np
 
 from ._checks import check_float
 
-__all__ = ["rq_kernel", "rq_kernel_vector", "LazyGramMatrix"]
+__all__ = ["rq_kernel", "rq_kernel_vector", "rq_kernel_product", "LazyGramMatrix"]
+
+PRODUCT_ROWS = 64  # rows of K(A, X) in flight in rq_kernel_product
 
 
-def _squared_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _squared_distance(X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarray:
     """``||X - Y||^2`` over the last axis, broadcasting the leading axes.
 
-    Summed one coordinate at a time: a strided pass per coordinate runs
-    several times faster than numpy's reduction over a short last axis.
+    Summed one coordinate at a time, in place: a strided pass per
+    coordinate runs several times faster than numpy's reduction over a
+    short last axis. Written into ``out`` when given.
     """
-    diff = X[..., 0] - Y[..., 0]
-    d2 = diff * diff
+    d2 = np.subtract(X[..., 0], Y[..., 0], out=out)
+    d2 *= d2
+    diff = None
     for k in range(1, X.shape[-1]):
-        diff = X[..., k] - Y[..., k]
-        d2 += diff * diff
+        diff = np.subtract(X[..., k], Y[..., k], out=diff)
+        diff *= diff
+        d2 += diff
     return d2
 
 
@@ -82,19 +89,43 @@ def rq_kernel(x, y, gamma: float) -> float:
     return float(rq_kernel_vector(x[None], y, gamma)[0])
 
 
-def rq_kernel_vector(X: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
-    """Rational quadratic kernel of every row of ``X`` against ``q``.
+def rq_kernel_vector(X: np.ndarray, q: np.ndarray, gamma: float, out=None) -> np.ndarray:
+    """Rational quadratic kernel of every row of ``X`` against ``q``, into ``out`` if given.
 
-    The one kernel formula: :func:`rq_kernel` and the lazy column fill
-    both evaluate it, so they agree bitwise on the same pair. Leading axes
-    broadcast: ``X[:, None, :]`` against an (m, d) ``q`` gives the (n, m)
-    block of all pairs.
+    The one kernel formula: :func:`rq_kernel`, the lazy column fill and
+    :func:`rq_kernel_product` all evaluate it, so they agree bitwise on
+    the same pair. Leading axes broadcast: ``X[:, None, :]`` against an
+    (m, d) ``q`` gives the (n, m) block of all pairs.
     """
-    t = _squared_distance(X, q)
+    t = _squared_distance(X, q, out)
     t *= 0.5 * gamma
     t += 1.0
     t *= t
     return np.divide(1.0, t, out=t)
+
+
+def rq_kernel_product(A: np.ndarray, X: np.ndarray, w: np.ndarray, gamma: float) -> np.ndarray:
+    """``K(A, X) @ w``: the kernel expansion with weights ``w`` on ``X``, at every row of ``A``.
+
+    ``PRODUCT_ROWS`` rows of K are filled and multiplied at a time, in
+    one reused C-contiguous block; a one-row tail joins the block before
+    it, since numpy sends a one-row product down another BLAS path. The
+    result has the bits of one single-threaded product over the whole
+    C-contiguous (len(A), len(X)) block. Unlike that product, it keeps
+    them at any BLAS thread count: a threaded OpenBLAS splits a long
+    enough row sum between threads.
+    """
+    m = len(A)
+    out = np.empty(m, dtype=np.float64)
+    K = np.empty((min(PRODUCT_ROWS + 1, m), len(X)), dtype=np.float64)
+    Xf = np.asfortranarray(X)  # each coordinate pass reads one contiguous column
+    s = 0
+    while s < m:
+        e = s + PRODUCT_ROWS if m - s > PRODUCT_ROWS + 1 else m
+        block = rq_kernel_vector(A[s:e, None, :], Xf, gamma, out=K[: e - s])
+        np.matmul(block, w, out=out[s:e])
+        s = e
+    return out
 
 
 def _zero_buffer(cap: int) -> np.ndarray:
@@ -114,9 +145,10 @@ class LazyGramMatrix:
     """Dense kernel matrix filled one column at a time.
 
     Training only ever needs the columns of points whose weight gets
-    adjusted, so most columns are never evaluated. A block of
-    ``capacity`` rows can be reserved up front so the shrink/extend cycle
-    of a changing environment never reallocates.
+    adjusted, so most columns are never evaluated. The matrix serves one
+    training run: :meth:`reset` starts it over, empty, for the next
+    dataset. A block of ``capacity`` rows can be reserved up front so the
+    shrink/extend cycle of a changing environment never reallocates.
 
     Entries hold rq_kernel values; a column is valid only once its
     computed flag is set. The diagonal of a computed column is exactly 1.
@@ -134,21 +166,12 @@ class LazyGramMatrix:
         self.kernel_evals = 0  # scalar kernel evaluations performed so far
         self.reallocs = 0
 
-    def _grow(self, cap: int) -> None:
-        if cap <= self._buf.shape[0]:
-            return
-        buf = _zero_buffer(cap)
-        flags = np.zeros(cap, dtype=bool)
-        n = self.n
-        buf[:n, :n] = self._buf[:n, :n]
-        flags[:n] = self._computed[:n]
-        self._buf = buf
-        self._computed = flags
-        self.reallocs += 1
-
     def reset(self, n: int) -> None:
-        """Start over with ``n`` points and no computed columns."""
-        self._grow(n)
+        """Start over with ``n`` points and no computed columns; moves no data."""
+        if n > self._buf.shape[0]:
+            self._buf = _zero_buffer(n)
+            self._computed = np.zeros(n, dtype=bool)
+            self.reallocs += 1
         self.n = n
         self._computed[:n] = False
 
@@ -176,42 +199,7 @@ class LazyGramMatrix:
         col = self._buf[j, :n]
         if self._computed[j]:
             return col
-        col[:] = rq_kernel_vector(X[:n], X[j], self.gamma)
+        rq_kernel_vector(X[:n], X[j], self.gamma, out=col)
         self._computed[j] = True
         self.kernel_evals += n
         return col
-
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop all rows/columns not in ``keep`` (sorted index array).
-
-        Computed flags survive: a full column stays exact when rows of
-        discarded points are removed from it.
-        """
-        m = len(keep)
-        if m:
-            sub = self._buf[np.ix_(keep, keep)]
-            flags = self._computed[keep].copy()
-            self._buf[:m, :m] = sub
-            self._computed[:m] = flags
-        self.n = m
-
-    def complete_and_extend(self, X_old: np.ndarray, X_new: np.ndarray) -> None:
-        """Grow by ``len(X_new)`` points, filling the new rows of every retained column.
-
-        Precondition: every retained column is computed. The one caller,
-        ``FastronModel.append_points``, refuses a zero weight, and every
-        nonzero weight has a computed column. Hypothesis values for the
-        added points can then be read off directly; the added columns stay lazy.
-        """
-        n_old = self.n
-        if len(X_old) != n_old:
-            raise ValueError(f"expected {n_old} retained points, got {len(X_old)}")
-        n_add = len(X_new)
-        n = n_old + n_add
-        self._grow(n)
-        if n_add:
-            # one buffer row per retained column: the block K[n_old:, :n_old].T
-            self._buf[:n_old, n_old:n] = rq_kernel_vector(X_old[:, None, :], X_new, self.gamma)
-            self.kernel_evals += n_add * n_old
-            self._computed[n_old:n] = False
-        self.n = n

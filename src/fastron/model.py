@@ -12,9 +12,11 @@ support points -- those the rest of the expansion already classifies
 correctly -- are shed one at a time to keep the model sparse.
 
 Each step touches a single Gram column, so the matrix is evaluated
-lazily; in a changing environment, weights, hypothesis values and the
-partially filled matrix are all carried over between updates instead of
-retraining from scratch.
+lazily, and it lives for one training run: sparsify discards it. In a
+changing environment, weights and hypothesis values are carried over
+between updates instead of retraining from scratch; a point appended to
+the sparsified model gets its hypothesis value from one kernel product
+against the retained support points.
 
 A model is single-writer. A trained model may be shared read-only across
 threads for predict/hypothesis.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_float, check_int
-from .kernels import LazyGramMatrix
+from .kernels import LazyGramMatrix, rq_kernel_product
 
 __all__ = ["DuplicatePointError", "TrainParams", "TrainReport", "FastronModel"]
 
@@ -155,9 +157,9 @@ class FastronModel:
     def append_points(self, A, y_A) -> None:
         """Add new points to a sparsified model.
 
-        Partially filled Gram columns are completed first, then the
-        hypothesis values of the new points are read off directly from
-        the retained support weights. Existing entries are untouched.
+        The hypothesis values of the new points are computed directly from
+        the retained support weights, ``K(A, X_S) @ alpha_S``; existing
+        entries are untouched. No Gram column is computed afterwards.
         """
         A = np.array(A, dtype=np.float64)
         self._validate_points(A)
@@ -169,9 +171,9 @@ class FastronModel:
         combined = np.vstack([self.X, A])
         if np.unique(combined, axis=0).shape[0] != combined.shape[0]:
             raise DuplicatePointError("appended points collide with retained set")
-        n_old = self.n
-        self.gram.complete_and_extend(self.X, A)
-        F_new = np.ascontiguousarray(self.gram.matrix[n_old:, :n_old]) @ self.alpha
+        F_new = rq_kernel_product(A, self.X, self.alpha, self.params.gamma)
+        self.gram.kernel_evals += A.shape[0] * self.n
+        self.gram.reset(combined.shape[0])
         self.X = combined
         self.y = np.concatenate([self.y, y_A])
         self.alpha = np.concatenate([self.alpha, np.zeros(A.shape[0])])
@@ -179,21 +181,21 @@ class FastronModel:
         self._sv = None
 
     def sparsify(self) -> int:
-        """Drop every zero-weight point; returns how many were discarded.
+        """Drop every zero-weight point and the Gram matrix; returns how many points went.
 
         Zero-weight terms contribute exactly nothing to the expansion, so
-        hypothesis values at any query are bitwise unchanged.
+        hypothesis values at any query are bitwise unchanged. The next
+        training run refills the Gram columns it touches.
         """
         keep = np.flatnonzero(self.alpha != 0.0)
         dropped = self.n - keep.size
-        if dropped == 0:
-            return 0
-        self.X = self.X[keep]
-        self.y = self.y[keep]
-        self.alpha = self.alpha[keep]
-        self.F = self.F[keep]
-        self.gram.compact(keep)
-        self._sv = None
+        self.gram.reset(keep.size)
+        if dropped:
+            self.X = self.X[keep]
+            self.y = self.y[keep]
+            self.alpha = self.alpha[keep]
+            self.F = self.F[keep]
+            self._sv = None
         return dropped
 
     # ------------------------------------------------------------------
@@ -451,9 +453,6 @@ class FastronModel:
         model = cls(params, dim=d)
         model.set_data(X, y)
         model.alpha = alpha
-        # every support column computed, as training leaves it; K.T is the
-        # C-contiguous buffer block
-        for j in range(ns):
-            model.gram.ensure_column(model.X, j)
-        model.F = model.gram.matrix.T @ alpha
+        model.F = rq_kernel_product(model.X, model.X, alpha, params.gamma)
+        model.gram.kernel_evals += ns * ns
         return model

@@ -632,7 +632,7 @@ def test_lazy_fill_guard_raises_on_an_over_evaluated_gram(case):
             model.gram.ensure_column(model.X, j)
     else:
         model.gram.ensure_column(model.X, 0)
-        model.gram.compact(np.arange(10))  # 120 evaluations, 10 rows, 1 column
+        model.gram.reset(10)  # 120 evaluations, 10 rows, no column
     with pytest.raises(RuntimeError, match="kernel_evals"):
         _check_lazy_fill(model)
 

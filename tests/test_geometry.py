@@ -507,6 +507,21 @@ def test_workspace_rejects_non_finite_velocities(velocity):
                   bounds=((-0.9, -0.9, 0.0), (0.9, 0.9, 0.9)))
 
 
+@pytest.mark.parametrize("bounds", [
+    ((math.nan, -0.9, 0.0), (0.9, 0.9, 0.9)),  # a box never bounced back
+    ((-0.9, -0.9, 0.0), (0.9, math.inf, 0.9)),
+    ((1.0, -0.9, 0.0), (-1.0, 0.9, 0.9)),  # inverted: each step reflects further out
+    ((0.0, -0.9, 0.0), (0.0, 0.9, 0.9)),
+    ((-0.9, -0.9), (0.9, 0.9)),
+    ((-0.9, -0.9, 0.0),),
+    "bounds",
+])
+def test_workspace_rejects_bounds_not_two_finite_increasing_3_vectors(bounds):
+    with pytest.raises(ValueError, match="bounds"):
+        Workspace([Box((0.0, 0.0, 0.5), (0.1, 0.1, 0.1))], velocities=[(0.5, 0.0, 0.0)],
+                  bounds=bounds)
+
+
 def test_workspace_without_motion_is_static():
     ws = Workspace([Box((0, 0, 0.2), (0.1, 0.1, 0.1))])
     assert ws.stepped() is ws

@@ -1,10 +1,11 @@
 import mmap
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fastron.kernels import LazyGramMatrix
+from fastron.kernels import LazyGramMatrix, rq_kernel_product
 from fastron.model import FastronModel, TrainParams
 
 from reference import eager_gram
@@ -78,66 +79,102 @@ def test_positive_definite_on_distinct_points():
     assert np.linalg.eigvalsh(K).min() > 0.0
 
 
-def test_complete_and_extend_no_op_on_empty(points):
-    g = LazyGramMatrix(30.0)
-    g.reset(10)
-    for j in range(10):
-        g.ensure_column(points[:10], j)
-    before = g.matrix.copy()
-    g.complete_and_extend(points[:10], points[:0])
-    assert g.n == 10
-    np.testing.assert_array_equal(g.matrix, before)
-
-
-def test_complete_and_extend_matches_eager(points):
-    # 3 old points, all columns computed, extend by 2 new points
-    g = LazyGramMatrix(30.0)
-    g.reset(3)
-    for j in range(3):
-        g.ensure_column(points[:3], j)
-    g.complete_and_extend(points[:3], points[3:5])
-    assert g.n == 5
-    K5 = eager_gram(points[:5], 30.0)
-    np.testing.assert_array_equal(g.matrix[:, :3], K5[:, :3])
-    assert not g.column_computed(3)
-    assert not g.column_computed(4)
-
-
-def test_complete_and_extend_fills_every_retained_column_in_one_block(points):
-    g = LazyGramMatrix(30.0)
-    g.reset(4)
-    g.ensure_column(points[:4], 1)
-    flags = [g.column_computed(j) for j in range(4)]
-    evals = g.kernel_evals
-    g.complete_and_extend(points[:4], points[4:7])
-    # every retained column gains the 3 new rows; computed flags are unchanged
-    assert g.kernel_evals == evals + 3 * 4
-    assert [g.column_computed(j) for j in range(4)] == flags
-    K7 = eager_gram(points[:7], 30.0)
-    np.testing.assert_array_equal(g.matrix[4:, :4], K7[4:, :4])
+def test_reset_forgets_every_column_and_refills_exactly(points):
+    g = LazyGramMatrix(30.0, capacity=60)
+    g.reset(60)
+    fill(g, points)
+    for n in (20, 45):  # shrink, then grow within the reserved rows
+        g.reset(n)
+        assert g.n == n and g.computed_count == 0
+        assert not any(g.column_computed(j) for j in range(n))
+        np.testing.assert_array_equal(fill(g, points[::-1][:n]), eager_gram(points[::-1][:n], 30.0))
+    assert g.reallocs == 0
 
 
 def test_capacity_hint_prevents_reallocation(points):
+    # the update cycle's shapes: a trained set, its sparsified support,
+    # the support plus an active set
     g = LazyGramMatrix(30.0, capacity=40)
-    g.reset(30)
-    for j in range(30):
-        g.ensure_column(points[:30], j)
-    g.compact(np.arange(10))
-    g.complete_and_extend(points[:10], points[10:35])
-    assert g.n == 35
+    for n in (30, 10, 35, 12, 40):
+        g.reset(n)
+        g.ensure_column(points, n - 1)
     assert g.reallocs == 0
-    g.complete_and_extend(points[:35], points[35:45])
+    g.reset(45)
     assert g.reallocs == 1  # above the hint: one growth
+    assert g.computed_count == 0
 
 
-def test_compact_preserves_exactness(points):
-    g = LazyGramMatrix(30.0)
-    g.reset(20)
-    fill(g, points[:20])
-    keep = np.array([0, 3, 7, 11, 19])
-    g.compact(keep)
-    np.testing.assert_array_equal(g.matrix, eager_gram(points[:20][keep], 30.0))
-    assert all(g.column_computed(j) for j in range(5))
+@pytest.mark.parametrize("rows", [0, 1, 2, 63, 64, 65, 66, 129, 130, 200])
+def test_rq_kernel_product_is_the_row_major_block_product(points, rows):
+    # row blocks of PRODUCT_ROWS, a one-row tail joined to the block before
+    # it: the bits of one product over the C-contiguous block
+    rng = np.random.default_rng(rows)
+    X = points[:50]
+    A = rng.uniform(-1, 1, (rows, 3))
+    w = rng.normal(size=50)
+    K = eager_gram(np.vstack([X, A]), 30.0)
+    expected = np.ascontiguousarray(K[50:, :50]) @ w
+    np.testing.assert_array_equal(rq_kernel_product(A, X, w, 30.0), expected)
+
+
+# ----------------------------------------------------------------------
+# the Gram matrix lives for one training run
+
+
+def trained_model(n=300, seed=5):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (n, 2))
+    m = FastronModel(TrainParams(gamma=30.0), dim=2, capacity=1000)
+    m.set_data(X, np.where(X[:, 0] + X[:, 1] > 0.1, 1.0, -1.0))
+    m.train()
+    return m
+
+
+def test_sparsify_and_append_leave_no_computed_column():
+    m = trained_model()
+    assert m.gram.computed_count > 0
+    m.sparsify()
+    assert m.gram.n == m.n and m.gram.computed_count == 0
+    evals, support = m.gram.kernel_evals, m.n
+    A = np.random.default_rng(6).uniform(-1, 1, (70, 2))
+    m.append_points(A, np.ones(70))
+    assert m.gram.kernel_evals == evals + 70 * support  # K(A, X_S), once
+    assert m.gram.n == m.n and m.gram.computed_count == 0
+    m.train()  # refills the retained columns it touches
+    assert m.gram.computed_count > 0
+    assert_computed_columns_exact(m.gram, m.X)
+
+
+def test_sparsify_without_zero_weights_still_ends_the_gram():
+    m = trained_model()
+    m.sparsify()
+    m.gram.ensure_column(m.X, 0)
+    assert m.sparsify() == 0
+    assert m.gram.computed_count == 0
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_append_and_sparsify_allocate_no_full_block():
+    # an append of 500 points onto |S| = 1500 at d = 4 holds row blocks of
+    # K(A, X_S), not the whole (500, 1500) block; sparsify copies no Gram
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-1, 1, (2000, 4))
+    m = FastronModel(TrainParams(gamma=10.0), dim=4, capacity=2000)
+    m.set_data(X[:1500], np.ones(1500))
+    m.alpha = rng.normal(size=1500)
+    block = 500 * 1500 * 8
+    assert _peak_bytes(lambda: m.append_points(X[1500:], np.ones(500))) < 1.5 * block
+    # the appended points enter with zero weight: sparsify drops them
+    assert _peak_bytes(m.sparsify) < 1500 * 1500 * 8
+    assert m.n == 1500
 
 
 # ----------------------------------------------------------------------
@@ -161,19 +198,19 @@ def test_ensure_column_is_a_contiguous_view_of_matrix_column(points):
         np.testing.assert_array_equal(col, g.matrix[:, j])
 
 
-def test_matrix_exact_through_fills_extend_compact_and_growth(points):
+def test_matrix_exact_through_fills_resets_and_growth(points):
     g = LazyGramMatrix(30.0, capacity=24)
     g.reset(20)
     for j in (0, 4, 5, 13, 19):
         g.ensure_column(points[:20], j)
     assert_computed_columns_exact(g, points)
-    g.compact(np.array([0, 2, 4, 5, 9, 13, 19]))
     X = points[[0, 2, 4, 5, 9, 13, 19]]
+    g.reset(len(X))
+    g.ensure_column(X, 3)
     assert_computed_columns_exact(g, X)
-    g.complete_and_extend(X, points[20:50])  # 37 points: past the 24 reserved
-    assert g.reallocs == 1
     X = np.vstack([X, points[20:50]])
-    assert_computed_columns_exact(g, X)
+    g.reset(len(X))  # 37 points: past the 24 reserved
+    assert g.reallocs == 1 and g.computed_count == 0
     np.testing.assert_array_equal(fill(g, X), eager_gram(X, 30.0))
 
 
@@ -197,14 +234,13 @@ def test_buffer_is_resident_only_where_written():
 
 
 def test_append_points_multiplies_a_row_major_block():
-    # BLAS sums a transposed operand in another order, so a product over
-    # the matrix view would differ in the last bits
+    # the bits of one product over the C-contiguous block K(A, X_S): BLAS
+    # sums a transposed operand in another order
     rng = np.random.default_rng(11)
     X = rng.uniform(-1, 1, (400, 3))
     m = FastronModel(TrainParams(gamma=10.0), dim=3)
     m.set_data(X[:300], np.ones(300))
     m.alpha = rng.normal(size=300)
-    fill(m.gram, m.X)  # every support point's column is computed
     n_old = m.n
     m.append_points(X[300:], np.ones(100))
     K = eager_gram(X, 10.0)

@@ -4,12 +4,15 @@ The golden files under ``tests/golden/`` hold, for runs of the shipped
 configs, the CSV cells outside the ``*_ns`` timing columns and the bytes
 of a saved model file, and for the 40 gap-scenario queries a digest of
 each plan's waypoint bytes with its iteration count, and of each
-``plan_and_certify`` plan with its repair and ``certified`` flags.
+``plan_and_certify`` plan with its repair and ``certified`` flags, and for
+40 warm update cycles of the seed-0 static_4dof model a digest of the
+model's ``(X, y, alpha, F)`` bytes after each cycle.
 The CSV runs use smaller holdout (and static timing) sizes than their
 configs; the ``*_seeds*.csv`` files keep static_2dof's 20 default seeds
 and dynamic_2dof's 50 steps (seeds 0-4), the others fewer seeds or steps.
 They were generated from commit ``be8a4a4`` (``gap_certified.txt`` from
-``a48e0a4``, the ``*_seeds*.csv`` files from ``8b352b8``) with
+``a48e0a4``, the ``*_seeds*.csv`` files from ``8b352b8``,
+``static_4dof_cycles.txt`` from ``ec2df07``) with
 
     PYTHONPATH=src python tests/test_identity.py
 
@@ -37,12 +40,14 @@ from fastron.bench.report import TIMING_COLUMNS, emit_report
 from fastron.bench.runners import Scene, run_dynamic_eval, run_static_eval, static_seeds
 from fastron.bench.scenarios import random_start_goal
 from fastron.planning import PLANNERS, PlanQuery, plan_and_certify, rrt_connect_plan, rrt_plan
+from fastron.sampling import update_cycle
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 GAP_QUERIES = 40
 GAP_MAX_ITERATIONS = 3000
+REFINE_CYCLES = 40
 
 
 def _config(name: str, **sections) -> ScenarioConfig:
@@ -85,6 +90,22 @@ def _static_4dof(tmp_dir: Path) -> dict[str, bytes]:
 def _dynamic_2dof(tmp_dir: Path) -> dict[str, bytes]:
     cfg = _config("dynamic_2dof", obstacles={"motion_steps": 8}, eval={"holdout": 1000})
     return {"dynamic_2dof.csv": _csv_without_timings(run_dynamic_eval(cfg, [0]), tmp_dir).encode()}
+
+
+def _static_4dof_cycles(tmp_dir: Path) -> dict[str, bytes]:
+    # the d = 4 update cycle: the seed-0 model (trained on 4,000 points, past
+    # the s_max + a_max rows its Gram reserves) refined in place while |S|
+    # climbs to s_max; each line digests the model's arrays after one cycle
+    cfg = _config("static_4dof")
+    scene = Scene(cfg, 0)
+    model, _ = scene.train()
+    sampler = cfg.sampler_params(0)
+    lines = []
+    for k in range(REFINE_CYCLES):
+        update_cycle(model, scene.label, sampler)
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (model.X, model.y, model.alpha, model.F)))
+        lines.append(f"{k} n={model.n} support={model.support_count} sha256={digest.hexdigest()}\n")
+    return {"static_4dof_cycles.txt": "".join(lines).encode()}
 
 
 def _static_2dof_seeds(tmp_dir: Path) -> dict[str, bytes]:
@@ -154,6 +175,7 @@ def _gap_certified(cfg, start_goal, oracle_free, proxy_free) -> bytes:
 ARTIFACTS = {
     "static_2dof": _static_2dof,
     "static_4dof": _static_4dof,
+    "static_4dof_cycles": _static_4dof_cycles,
     "dynamic_2dof": _dynamic_2dof,
     "static_2dof_seeds": _static_2dof_seeds,
     "dynamic_2dof_seeds": _dynamic_2dof_seeds,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastron.kernels import LazyGramMatrix, rq_kernel, rq_kernel_vector
+from fastron.model import FastronModel, TrainParams
 
 from reference import eager_gram, gaussian_kernel
 
@@ -118,9 +119,12 @@ def test_kernel_paths_agree_bitwise(d):
     cols = range(0, 30, 3)
     for j in cols:
         np.testing.assert_array_equal(g.ensure_column(X[:30], j), S[:30, j])
-    g.complete_and_extend(X[:30], X[30:])
-    for j in cols:
-        np.testing.assert_array_equal(g.matrix[:, j], S[:, j])
+    # an append's hypothesis values: the row-major product of the scalar block
+    m = FastronModel(TrainParams(gamma=gamma), dim=d)
+    m.set_data(X[:30], np.ones(30))
+    m.alpha = rng.normal(size=30)
+    m.append_points(X[30:], np.ones(10))
+    np.testing.assert_array_equal(m.F[30:], np.ascontiguousarray(S[30:, :30]) @ m.alpha[:30])
     if d <= 7:
         # numpy's pairwise sum is sequential below 8 terms
         np.testing.assert_array_equal(S, eager_gram(X, gamma))

@@ -8,6 +8,8 @@ from fastron.geometry import make_label_fn
 from fastron.model import FastronModel, TrainParams
 from fastron.sampling import SamplerParams, generate_active_set, resolved_sigma, update_cycle
 
+from reference import eager_gram
+
 
 def rng_for(seed=0):
     return np.random.default_rng(seed)
@@ -217,15 +219,14 @@ def test_update_cycle_counter_is_explicit_state():
     np.testing.assert_array_equal(model.X[-100:], generate_active_set(model.X[:-100], sp, rng))
 
 
-def test_nonzero_weight_implies_computed_gram_column():
-    # training fills a point's Gram column before it moves that point's
-    # weight, sparsify carries the computed flags with the kept rows, and
-    # appended points enter with zero weight; so no weight ever rests on
-    # an unevaluated column, and sparsify keeps only computed columns
+def test_update_cycle_carries_weights_and_hypothesis_not_the_gram():
+    # every cycle ends with no computed Gram column, and the carried
+    # hypothesis values stay the kernel expansion of the carried weights,
+    # through a relabel pass that inverts every label
     def check(model):
-        support = np.flatnonzero(model.alpha)
-        assert support.size > 0
-        assert all(model.gram.column_computed(j) for j in support)
+        assert model.gram.n == model.n and model.gram.computed_count == 0
+        np.testing.assert_allclose(model.F, eager_gram(model.X, 30.0) @ model.alpha,
+                                   rtol=0.0, atol=1e-9)
 
     model = make_cycle_model()
     oracle = FlatOracle([0.7, -0.7])
@@ -233,12 +234,11 @@ def test_nonzero_weight_implies_computed_gram_column():
     X = rng.uniform(-1.0, 1.0, (600, 2))
     model.set_data(X, [oracle(x) for x in X])
     model.train()
-    check(model)
     model.sparsify()
     check(model)
     params = SamplerParams(a_max=200, kappa=4, seed=3)
     for cycle in range(4):
-        oracle.flip = cycle == 2  # a relabel pass that inverts every label
+        oracle.flip = cycle == 2
         update_cycle(model, oracle, params)
         check(model)
 
