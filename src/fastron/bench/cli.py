@@ -17,6 +17,7 @@ from .config import SWEEP_PARAMETERS, ConfigError, load_config
 from .report import emit_report
 from .runners import (Scene, run_dynamic_eval, run_planning_eval, run_static_eval, run_sweep,
                       static_seeds)
+from .scenarios import build_chain
 
 __all__ = ["main"]
 
@@ -96,6 +97,9 @@ def main(argv=None) -> int:
                     model = FastronModel.load(args.load_model)
                 except (OSError, ValueError) as exc:  # missing, unreadable or malformed
                     raise ConfigError(f"--load-model: {exc}") from exc
+                if model.dim != (dof := build_chain(cfg).dof):
+                    raise ConfigError(f"--load-model: model dimension {model.dim} differs "
+                                      f"from the config's robot dimension {dof}")
                 records = run_static_eval(cfg, seeds, model=model)
             elif args.save_model is not None:
                 # only the first seed's model is kept: each holds an n0 x n0 Gram buffer

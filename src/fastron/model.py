@@ -38,7 +38,11 @@ __all__ = ["DuplicatePointError", "TrainParams", "TrainReport", "FastronModel"]
 # before it and stops
 EARLY_REVERT_CORRECTIONS = 400
 
-BATCH_BLOCK = 1024  # queries per matrix product in hypothesis_batch
+BATCH_BYTES = 1 << 20  # bytes of hypothesis_batch's (rows, |S|) score block
+
+
+def _batch_rows(support: int) -> int:  # the largest power of two that fits, at least 64
+    return 1 << max(6, (BATCH_BYTES // (8 * max(support, 1))).bit_length() - 1)
 
 
 class DuplicatePointError(ValueError):
@@ -94,7 +98,7 @@ class FastronModel:
         self.alpha = np.zeros(0, dtype=np.float64)
         self.F = np.zeros(0, dtype=np.float64)
         self.gram = LazyGramMatrix(params.gamma, capacity=capacity)
-        self._sv: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._sv: tuple[np.ndarray, np.ndarray] | None = None
         self.update_cycles = 0  # completed sampling.update_cycle passes
 
     @property
@@ -303,25 +307,23 @@ class FastronModel:
     # prediction
 
     def _support(self):
-        # cached query arrays (a, W, Wf): the support weights and, with
-        # c0_i = 1 + gamma/2 |x_i|^2, the (|S|, d+2) matrix
+        # cached query arrays (a, W): the support weights and, with
+        # c0_i = 1 + gamma/2 |x_i|^2, the column-major (|S|, d+2) matrix
         # W = [-gamma X_S | c0 | gamma/2]. For v = [q, 1, |q|^2],
         # (W v)_i = 1 + gamma/2 |x_i - q|^2, so a query is one product plus
-        # an in-place square, reciprocal and weighted sum. Wf is W stored
-        # column-major for single queries, where W v then runs as d+2 column
-        # sweeps, not |S| short row dots; the batch product keeps the
-        # row-major W, which timed faster in the d = 2 planning benchmark
+        # an in-place square, reciprocal and weighted sum; a single query's
+        # W v runs as d+2 column sweeps, not |S| short row dots
         sv = self._sv
         if sv is None:
             mask = self.alpha != 0.0
             Xs = self.X[mask]
             d = Xs.shape[1]
             gamma = self.params.gamma
-            W = np.empty((Xs.shape[0], d + 2), dtype=np.float64)
+            W = np.empty((Xs.shape[0], d + 2), dtype=np.float64, order="F")
             np.multiply(Xs, -gamma, out=W[:, :d])
             W[:, d] = 1.0 + 0.5 * gamma * np.einsum("ij,ij->i", Xs, Xs)
             W[:, d + 1] = 0.5 * gamma
-            sv = self._sv = (self.alpha[mask], W, np.asfortranarray(W))
+            sv = self._sv = (self.alpha[mask], W)
         return sv
 
     def hypothesis(self, q) -> float:
@@ -330,7 +332,7 @@ class FastronModel:
         Summed over the support set only, so sparsify never changes it.
         This is the query hot path; it stays allocation-light.
         """
-        a, _, W = self._support()
+        a, W = self._support()
         if not isinstance(q, np.ndarray) or q.dtype != np.float64:
             q = np.asarray(q, dtype=np.float64)
         if q.ndim != 1 or q.shape[0] != self.dim:
@@ -356,28 +358,28 @@ class FastronModel:
         return -1 if self.hypothesis(q) < 0.0 else 1
 
     def hypothesis_batch(self, Q) -> np.ndarray:
-        """Scores for many queries at once, ``BATCH_BLOCK`` queries per product.
+        """Scores for many queries at once, a cache-sized block per product.
 
-        Uses the ``W`` of :meth:`hypothesis`, cached row-major: per block,
-        the rows ``[q, 1, |q|^2]`` stack into V, ``t = V W'`` is one matrix
-        product, and the scores are ``(1 / t^2) a``. Only one
-        (BATCH_BLOCK, |S|) buffer is live. The summation order differs from
-        :meth:`hypothesis`, so scores agree in sign wherever they are clear
-        of rounding, not bitwise. ``Q`` must be (m, d).
+        Uses the ``W`` of :meth:`hypothesis`: per block of ``_batch_rows``
+        queries, the rows ``[q, 1, |q|^2]`` stack into V, ``t = V W'`` is one
+        matrix product, and the scores are ``(1 / t^2) a``. Only one
+        (rows, |S|) buffer, of at most ``BATCH_BYTES`` above 64 rows, is live.
+        The summation order differs from :meth:`hypothesis`, so scores agree
+        in sign wherever they are clear of rounding, not bitwise. ``Q`` is (m, d).
         """
         Q = np.asarray(Q, dtype=np.float64)
-        a, W, _ = self._support()
+        a, W = self._support()
         d = self.dim
         if Q.ndim != 2 or Q.shape[1] != d:
             raise ValueError(f"dimension mismatch: expected {d}, got {Q.shape}")
         m = Q.shape[0]
-        rows = min(BATCH_BLOCK, m)
-        V = np.empty((rows, d + 2), dtype=np.float64)
+        block = _batch_rows(a.size)
+        V = np.empty((min(block, m), d + 2), dtype=np.float64)
         V[:, d] = 1.0
-        T = np.empty((rows, a.size), dtype=np.float64)
+        T = np.empty((V.shape[0], a.size), dtype=np.float64)
         out = np.empty(m, dtype=np.float64)
-        for s in range(0, m, BATCH_BLOCK):
-            chunk = Q[s : s + BATCH_BLOCK]
+        for s in range(0, m, block):
+            chunk = Q[s : s + block]
             k = chunk.shape[0]
             Vk, t = V[:k], T[:k]
             Vk[:, :d] = chunk
@@ -408,13 +410,10 @@ class FastronModel:
         loaded model predicts identically on any query.
         """
         mask = self.alpha != 0.0
-        Xs = self.X[mask]
-        ys = self.y[mask]
-        a = self.alpha[mask]
         p = self.params
-        lines = [f"fastron v1 d={self.dim} n={Xs.shape[0]} "
+        lines = [f"fastron v1 d={self.dim} n={np.count_nonzero(mask)} "
                  f"gamma={float(p.gamma)!r} beta={float(p.beta)!r}"]
-        for row, label, w in zip(Xs, ys, a):
+        for row, label, w in zip(self.X[mask], self.y[mask], self.alpha[mask]):
             coords = " ".join(repr(float(c)) for c in row)
             lines.append(f"{coords} {float(label)!r} {float(w)!r}")
         with open(path, "w", encoding="ascii") as fh:
@@ -438,16 +437,13 @@ class FastronModel:
             raise ValueError(f"{path}: bad header {lines[0]!r}: {exc!r}") from exc
         if len(lines) - 1 != ns:
             raise ValueError(f"{path}: expected {ns} support points, found {len(lines) - 1}")
-        X = np.zeros((ns, d), dtype=np.float64)
-        y = np.zeros(ns, dtype=np.float64)
-        alpha = np.zeros(ns, dtype=np.float64)
+        rows = np.zeros((ns, d + 2), dtype=np.float64)  # X | y | alpha
         for k, ln in enumerate(lines[1:]):
             vals = [float(tok) for tok in ln.split()]
             if len(vals) != d + 2:
                 raise ValueError(f"{path}: line {k + 2} has {len(vals)} fields, expected {d + 2}")
-            X[k] = vals[:d]
-            y[k] = vals[d]
-            alpha[k] = vals[d + 1]
+            rows[k] = vals
+        X, y, alpha = rows[:, :d], rows[:, d], rows[:, d + 1].copy()
         if not (np.isfinite(X).all() and np.isfinite(alpha).all()):
             raise ValueError(f"{path}: non-finite coordinate or weight")
         model = cls(params, dim=d)

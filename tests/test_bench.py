@@ -427,7 +427,7 @@ def test_cli_assert_failure_exit_3(tmp_path):
     assert code == 3
 
 
-def test_cli_save_and_load_model(tmp_path):
+def test_cli_save_and_load_model(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "robot": {"type": "dof2"},
         "obstacles": {"count": 2},
@@ -444,6 +444,16 @@ def test_cli_save_and_load_model(tmp_path):
     assert code == 0
     recs = parse_report(tmp_path / "b.csv")
     assert recs[0].accuracy is not None
+    # a model of another dimension is rejected at load, before the holdout is
+    # labelled; it used to end as "runtime error: dimension mismatch", exit 4
+    cfg4 = write_cfg(tmp_path, {"robot": {"type": "dof4"}, "eval": {"holdout": 500}})
+    code = main(["static", "--config", cfg4, "--out", str(tmp_path / "c.csv"),
+                 "--seeds", "1", "--load-model", str(model_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --load-model: ") and err.count("\n") == 1
+    assert "dimension 2" in err and "dimension 4" in err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_cli_unreadable_model_file_exit_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fastron.kernels import rq_kernel
-from fastron.model import BATCH_BLOCK, DuplicatePointError, FastronModel, TrainParams
+from fastron.model import BATCH_BYTES, DuplicatePointError, FastronModel, TrainParams, _batch_rows
 
 from reference import eager_gram, fsum_hypothesis, model_loss
 
@@ -175,7 +175,7 @@ def test_scores_match_exact_expansion_property(d, gamma, n, block, seed):
     tol = 1e-12 * float(np.abs(m.alpha).sum()) + 1e-15
     single = np.array([m.hypothesis(q) for q in Q])
     assert np.all(np.abs(single - exact) <= tol)
-    with mock.patch("fastron.model.BATCH_BLOCK", block):
+    with mock.patch("fastron.model._batch_rows", lambda support: block):
         batch = m.hypothesis_batch(Q)
     assert np.all(np.abs(batch - exact) <= tol)
 
@@ -215,7 +215,7 @@ def test_batch_sign_agrees_with_single_property(d, n, n_queries, block, seed):
     Q = rng.uniform(-1, 1, (n_queries, d))
     f = np.array([m.hypothesis(q) for q in Q])
     single = np.array([m.predict(q) for q in Q])
-    with mock.patch("fastron.model.BATCH_BLOCK", block):
+    with mock.patch("fastron.model._batch_rows", lambda support: block):
         batch = m.predict_batch(Q)
     assert batch.shape == (n_queries,)
     decided = np.abs(f) > 1e-9 * float(np.abs(m.alpha).sum())
@@ -224,13 +224,33 @@ def test_batch_sign_agrees_with_single_property(d, n, n_queries, block, seed):
         assert np.all(batch == 1)
 
 
-def test_batch_peak_memory_is_one_block_buffer():
-    # a (block, |S|, d) difference tensor would need about 9x block*|S|*8 bytes
+@pytest.mark.parametrize("support", [0, 1, 63, 64, 189, 500, 798, 1500, 2048, 2049, 10**5])
+def test_batch_rows_fill_the_byte_budget(support):
+    # a power of two, at least 64, and the largest one whose scores fit in
+    # BATCH_BYTES unless the 64-row floor alone does not
+    rows = _batch_rows(support)
+    assert rows >= 64 and rows & (rows - 1) == 0
+    assert rows == 64 or rows * support * 8 <= BATCH_BYTES
+    if support:
+        assert 2 * rows * support * 8 > BATCH_BYTES
+
+
+def test_empty_model_scores_every_query_in_collision():
+    m = FastronModel(TrainParams(), dim=3)
+    Q = np.random.default_rng(0).uniform(-1, 1, (5000, 3))
+    assert np.all(m.hypothesis_batch(Q) == 0.0)
+    assert np.all(m.predict_batch(Q) == 1)
+
+
+@pytest.mark.parametrize("support", [189, 500, 1500])
+def test_batch_peak_memory_is_one_block_buffer(support):
+    # a (block, |S|, d) difference tensor would need about 9x block*|S|*8
+    # bytes, and a fixed 1024-row block grows with |S|: 11.9 MiB at 1,500
     rng = np.random.default_rng(3)
-    d, n = 4, 500
-    m = make_model(rng.uniform(-1, 1, (n, d)), np.ones(n), gamma=10.0)
-    m.alpha = rng.normal(size=n)
-    Q = rng.uniform(-1, 1, (1024, d))
+    d = 4
+    m = make_model(rng.uniform(-1, 1, (support, d)), np.ones(support), gamma=10.0)
+    m.alpha = rng.normal(size=support)
+    Q = rng.uniform(-1, 1, (10_000, d))
     m.predict_batch(Q[:1])  # builds the cached support arrays
     tracemalloc.start()
     try:
@@ -238,7 +258,7 @@ def test_batch_peak_memory_is_one_block_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * BATCH_BLOCK * m.support_count * 8
+    assert peak < 1.5 * 2**20
 
 
 # ----------------------------------------------------------------------
