@@ -226,8 +226,8 @@ def test_batch_sign_agrees_with_single_property(d, n, n_queries, block, seed):
 
 @pytest.mark.parametrize("support", [0, 1, 63, 64, 189, 500, 798, 1500, 2048, 2049, 10**5])
 def test_batch_rows_fill_the_byte_budget(support):
-    # a power of two, at least 64, and the largest one whose scores fit in
-    # BATCH_BYTES unless the 64-row floor alone does not
+    # a power of two, at least 64; above 64 its scores fit in BATCH_BYTES,
+    # and twice as many rows would not
     rows = _batch_rows(support)
     assert rows >= 64 and rows & (rows - 1) == 0
     assert rows == 64 or rows * support * 8 <= BATCH_BYTES
@@ -242,23 +242,23 @@ def test_empty_model_scores_every_query_in_collision():
     assert np.all(m.predict_batch(Q) == 1)
 
 
-@pytest.mark.parametrize("support", [189, 500, 1500])
-def test_batch_peak_memory_is_one_block_buffer(support):
+def test_batch_peak_memory_is_one_block_buffer():
     # a (block, |S|, d) difference tensor would need about 9x block*|S|*8
     # bytes, and a fixed 1024-row block grows with |S|: 11.9 MiB at 1,500
     rng = np.random.default_rng(3)
     d = 4
-    m = make_model(rng.uniform(-1, 1, (support, d)), np.ones(support), gamma=10.0)
-    m.alpha = rng.normal(size=support)
     Q = rng.uniform(-1, 1, (10_000, d))
-    m.predict_batch(Q[:1])  # builds the cached support arrays
-    tracemalloc.start()
-    try:
-        m.predict_batch(Q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    for support in (189, 500, 1500):
+        m = make_model(rng.uniform(-1, 1, (support, d)), np.ones(support), gamma=10.0)
+        m.alpha = rng.normal(size=support)
+        m.predict_batch(Q[:1])  # builds the cached support arrays
+        tracemalloc.start()
+        try:
+            m.predict_batch(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, (support, peak)
 
 
 # ----------------------------------------------------------------------
