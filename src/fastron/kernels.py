@@ -14,7 +14,9 @@ sequential below 8 elements; from d = 8 on numpy unrolls its sum by 8 and
 the two differ in the last bits.
 
 A LazyGramMatrix lives for one training run: it fills the columns that
-training touches, and sparsify discards them. It stores Gram column j in
+training touches, and sparsify discards them. A reset after fills maps a
+fresh buffer, so the pages a run wrote go back to the OS and an idle
+model holds none. It stores Gram column j in
 buffer row j: K is symmetric, so a column fill is one contiguous write
 and the training loop reads its column contiguously. ``matrix`` is
 therefore the transposed view of the buffer. What a model carries from
@@ -147,8 +149,9 @@ class LazyGramMatrix:
     Training only ever needs the columns of points whose weight gets
     adjusted, so most columns are never evaluated. The matrix serves one
     training run: :meth:`reset` starts it over, empty, for the next
-    dataset. A block of ``capacity`` rows can be reserved up front so the
-    shrink/extend cycle of a changing environment never reallocates.
+    dataset, on a fresh mapping if the run wrote any column. A mapping of
+    ``capacity`` rows can be reserved up front so the shrink/extend cycle
+    of a changing environment never grows it.
 
     Entries hold rq_kernel values; a column is valid only once its
     computed flag is set. The diagonal of a computed column is exactly 1.
@@ -167,13 +170,20 @@ class LazyGramMatrix:
         self.reallocs = 0
 
     def reset(self, n: int) -> None:
-        """Start over with ``n`` points and no computed columns; moves no data."""
-        if n > self._buf.shape[0]:
-            self._buf = _zero_buffer(n)
-            self._computed = np.zeros(n, dtype=bool)
-            self.reallocs += 1
+        """Start over with ``n`` points and no computed columns; moves no data.
+
+        If a column has been computed since the last reset, the buffer is
+        replaced by a fresh demand-zero mapping of the same capacity, and
+        the old mapping, with every page written into it, goes back to the
+        OS. ``reallocs`` counts only growth past the capacity.
+        """
+        grow = n > self._buf.shape[0]
+        if grow or self._computed.any():
+            cap = max(n, self._buf.shape[0])
+            self._buf = _zero_buffer(cap)
+            self._computed = np.zeros(cap, dtype=bool)
+            self.reallocs += grow
         self.n = n
-        self._computed[:n] = False
 
     @property
     def matrix(self) -> np.ndarray:

@@ -12,7 +12,8 @@ support points -- those the rest of the expansion already classifies
 correctly -- are shed one at a time to keep the model sparse.
 
 Each step touches a single Gram column, so the matrix is evaluated
-lazily, and it lives for one training run: sparsify discards it. In a
+lazily, and it lives for one training run: sparsify discards it and
+returns its pages to the OS, so a sparsified model holds none. In a
 changing environment, weights and hypothesis values are carried over
 between updates instead of retraining from scratch; a point appended to
 the sparsified model gets its hypothesis value from one kernel product
@@ -262,6 +263,8 @@ class FastronModel:
         F_before = F.copy()
         yF = np.empty(n)  # margin and step buffers, reused by every pass
         step = np.empty(n)
+        cols = [None] * n  # this run's Gram columns, each fetched from the Gram once
+        support = int(np.count_nonzero(alpha))
         if record_loss:
             report.loss_trace.append(self._trace_loss(by))
         since_removal = 0  # corrections since the last removal
@@ -269,14 +272,19 @@ class FastronModel:
             report.iterations_used += 1
             np.multiply(y, F, out=yF)
             i = int(yF.argmin())  # ties resolve to the lowest index
-            misclassified = yF[i] <= 0.0
+            misclassified = yF.item(i) <= 0.0
             if misclassified and report.removals and since_removal == EARLY_REVERT_CORRECTIONS:
                 report.early_stop = True  # the last removal has not been repaired: give it up
                 break
-            if misclassified and (alpha[i] != 0.0 or np.count_nonzero(alpha) < p.s_max):
-                delta = by[i] - F[i]
-                alpha[i] += delta
-                np.multiply(gram.ensure_column(X, i), delta, out=step)
+            a = alpha.item(i)
+            if misclassified and (a != 0.0 or support < p.s_max):
+                delta = by.item(i) - F.item(i)
+                alpha[i] = a + delta
+                support += (a == 0.0) - (a + delta == 0.0)
+                col = cols[i]
+                if col is None:
+                    col = cols[i] = gram.ensure_column(X, i)
+                np.multiply(col, delta, out=step)
                 F += step
                 report.corrections += 1
                 since_removal += 1
@@ -287,8 +295,9 @@ class FastronModel:
                 alpha_before[:] = alpha
                 F_before[:] = F
                 if not self.remove_redundant():
-                    report.cap_blocked = bool(misclassified)
+                    report.cap_blocked = misclassified
                     break
+                support -= 1
                 report.removals += 1
                 since_removal = 0
                 kind = "removal"

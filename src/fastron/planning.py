@@ -57,8 +57,13 @@ class PlanQuery:
     seed: int = 0
 
     def __post_init__(self):
-        self.start = np.asarray(self.start, dtype=np.float64)
-        self.goal = np.asarray(self.goal, dtype=np.float64)
+        for name in ("start", "goal"):
+            point = np.asarray(getattr(self, name), dtype=np.float64)
+            if point.ndim != 1 or not np.isfinite(point).all():
+                raise ValueError(f"{name} must be a 1-D array of finite coordinates, got {point!r}")
+            setattr(self, name, point)
+        if self.goal.shape != self.start.shape:
+            raise ValueError(f"goal must have start's shape {self.start.shape}, got {self.goal.shape}")
         # finite and > 0: an infinite resolution would reduce an edge check
         # to its endpoints
         check_float("edge_resolution", self.edge_resolution, 0.0, strict=True)

@@ -246,3 +246,38 @@ def test_append_points_multiplies_a_row_major_block():
     K = eager_gram(X, 10.0)
     expected = np.ascontiguousarray(K[n_old:, :n_old]) @ m.alpha[:n_old]
     np.testing.assert_array_equal(m.F[n_old:], expected)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_reset_after_fills_returns_the_pages():
+    # 200 rows of a 4000-point buffer are 6.4 MB resident; a reset hands
+    # them back to the OS with the mapping they were written into
+    X = np.random.default_rng(8).uniform(-1, 1, (4000, 4))
+    g = LazyGramMatrix(10.0)
+    g.reset(len(X))
+    for j in range(0, len(X), 20):
+        g.ensure_column(X, j)
+    filled = _resident_bytes()
+    g.reset(len(X))
+    assert filled - _resident_bytes() >= 5 * 2**20
+    assert g.n == len(X) and g.computed_count == 0 and g.reallocs == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_sparsified_models_hold_no_gram_pages():
+    # three trained and sparsified models kept alive, as the static runner
+    # keeps one per seed until its timing pass, hold less than the Gram
+    # working set of one of their training runs
+    rng = np.random.default_rng(12)
+    before = _resident_bytes()
+    models, working_set = [], 0
+    for _ in range(3):
+        X = rng.uniform(-1, 1, (4000, 4))
+        m = FastronModel(TrainParams(gamma=10.0), dim=4)
+        m.set_data(X, np.where(np.linalg.norm(X - 0.3, axis=1) < 0.8, 1.0, -1.0))
+        m.train()
+        working_set = max(working_set, m.gram.computed_count * m.n * 8)
+        m.sparsify()
+        models.append(m)
+    assert working_set > 4 * 2**20
+    assert _resident_bytes() - before < working_set

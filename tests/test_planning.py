@@ -111,10 +111,23 @@ def test_edge_valid_rejects_infinite_resolution():
     ({"step_size": float("nan")}, "step_size"),
     ({"goal_bias": 1.5}, "goal_bias"),
     ({"seed": -1}, "seed"),
+    ({"goal": np.ones(3)}, "goal"),
+    ({"start": np.zeros((1, 2))}, "start"),
+    ({"goal": np.ones((2, 2))}, "goal"),
+    ({"start": 0.0}, "start"),
+    ({"start": [0.0, np.nan]}, "start"),
+    ({"goal": [np.inf, 0.0]}, "goal"),
 ])
 def test_plan_query_rejects_non_finite_and_out_of_range(kw, field):
+    # start and goal: 1-D, of one shape, finite; the field is named
     with pytest.raises(ValueError, match=field):
-        PlanQuery(np.zeros(2), np.ones(2), all_free, **kw)
+        PlanQuery(**{"start": np.zeros(2), "goal": np.ones(2), "checker": all_free, **kw})
+
+
+def test_plan_query_accepts_the_empty_pair():
+    # config validation builds PlanQuery((), (), None) to range-check the planner section
+    q = PlanQuery((), (), None)
+    assert q.start.shape == q.goal.shape == (0,)
 
 
 def test_plan_query_accepts_numpy_integer_seed():
