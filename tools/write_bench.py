@@ -1,7 +1,6 @@
 """Run perfbench/report.py and record its figures as BENCH_<n>.json at the repository root.
 
-    python3 tools/write_bench.py            # the next free BENCH_<n>.json
-    python3 tools/write_bench.py --n 7      # BENCH_7.json; refuses to overwrite
+    python3 tools/write_bench.py
 
 report.py runs unchanged: for every workload, the untraced seeds 1-10 and
 one traced run of seed 1, each at ``BENCHMARK.json``'s ``run_seconds``. It
@@ -11,13 +10,12 @@ quartiles (``statistics.quantiles``, n=4) and the raw values over the seeds,
 plus the traced run's per-layer metrics. It adds the git revision (marked
 ``+dirty`` when ``src/``, ``perfbench/`` or this script has uncommitted
 changes), ``nproc``, the Python and numpy versions, numpy's build config
-and report.py's printed summary. Exit code 0 on success, 1 when report.py
-fails, 2 when the target file exists.
+and report.py's printed summary, to the next free ``BENCH_<n>.json``. Exit
+code 0 on success, 1 when report.py fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -27,7 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMAND = ["perfbench/report.py"]
+REPORT = "perfbench/report.py"
 HOW = ("report.py run unchanged at this revision; per workload, 'metrics' holds the median and "
        "quartiles (statistics.quantiles, n=4) of each end-to-end metric over the untraced runs "
        "of seeds 1-10, from the .bench_out/report-<workload>.json it writes, and 'traced' the "
@@ -54,7 +52,7 @@ def _workload(raw: dict) -> dict:
     metrics = {}
     for name, first in runs[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4)
+        q1, _, q3 = statistics.quantiles(values, n=4)
         metrics[name] = {"unit": first["unit"], "median": statistics.median(values),
                          "q1": q1, "q3": q3, "values": values}
     every = runs + [traced]
@@ -64,16 +62,10 @@ def _workload(raw: dict) -> dict:
             "metrics": metrics, "traced_seed": raw["seeds"][0], "traced": traced["metrics"]}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=None, help="file number (default: next free)")
-    args = parser.parse_args(argv)
-    out = ROOT / f"BENCH_{args.n if args.n is not None else _next_n()}.json"
-    if out.exists():
-        print(f"write_bench: {out.name} exists", file=sys.stderr)
-        return 2
+def main() -> int:
+    out = ROOT / f"BENCH_{_next_n()}.json"
     revision = _revision()
-    proc = subprocess.run([sys.executable, *COMMAND], cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, REPORT], cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"write_bench: report.py exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
         return 1
@@ -83,7 +75,7 @@ def main(argv=None) -> int:
 
     bench = {
         "revision": revision,
-        "command": "python3 " + " ".join(COMMAND),
+        "command": f"python3 {REPORT}",
         "how": HOW,
         "run_seconds": json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
         "nproc": len(os.sched_getaffinity(0)),
