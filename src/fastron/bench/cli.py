@@ -102,7 +102,7 @@ def main(argv=None) -> int:
                                       f"from the config's robot dimension {dof}")
                 records = run_static_eval(cfg, seeds, model=model)
             elif args.save_model is not None:
-                # only the first seed's model is kept: each holds an n0 x n0 Gram buffer
+                # the first seed's model is the one saved; the other seeds run as usual
                 [(record, model)] = static_seeds([Scene(cfg, seeds[0])])
                 model.save(args.save_model)
                 records = [record] + run_static_eval(cfg, seeds[1:])

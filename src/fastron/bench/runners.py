@@ -49,9 +49,7 @@ class Scene:
         return self.label(p) == -1
 
     def new_model(self) -> FastronModel:
-        params = self.cfg.train_params()
-        return FastronModel(params, dim=self.chain.dof,
-                            capacity=params.s_max + self.cfg.fastron.a_max)
+        return FastronModel(self.cfg.train_params(), dim=self.chain.dof)
 
     def train(self) -> tuple[FastronModel, float]:
         """Label a fresh uniform dataset, train and sparsify; returns the model and its seconds."""
@@ -253,8 +251,7 @@ def plan_seed(scene: Scene):
 def run_planning_eval(cfg: ScenarioConfig, seeds) -> list[MetricsRecord]:
     """``plan_seed`` per seed: proxy plans (verify + repair) and oracle plans.
 
-    A seed's model, with its n0 x n0 Gram buffer, is freed before the next
-    seed trains.
+    A seed's model is freed before the next seed trains.
     """
     records = []
     for seed in seeds:

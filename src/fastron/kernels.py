@@ -13,24 +13,12 @@ also equal numpy's ``(diff * diff).sum()``, whose pairwise sum is
 sequential below 8 elements; from d = 8 on numpy unrolls its sum by 8 and
 the two differ in the last bits.
 
-A LazyGramMatrix lives for one training run: it fills the columns that
-training touches, and sparsify discards them. A reset after fills maps a
-fresh buffer, so the pages a run wrote go back to the OS and an idle
-model holds none. It stores Gram column j in
-buffer row j: K is symmetric, so a column fill is one contiguous write
-and the training loop reads its column contiguously. ``matrix`` is
-therefore the transposed view of the buffer. What a model carries from
-one training run to the next is its weights and hypothesis values;
-appended points get theirs from :func:`rq_kernel_product`, which
-evaluates the rows ``K(A, X)`` a block at a time and is never stored.
-
-The buffer is a private anonymous demand-zero mapping advised against
-huge pages, not an ``np.zeros`` array. Training writes a small share of its
-rows, scattered over the buffer, and numpy advises the kernel to back
-large arrays with transparent huge pages, so an ``np.zeros`` buffer
-becomes resident, and zeroed, in 2 MB units around every written row.
-Over 4 KB demand-zero pages, resident memory grows with the columns
-computed, not with n^2.
+A LazyGramMatrix lives for one training run: it keeps the columns that
+training touches, each as its own array, and sparsify discards them, so an
+idle model holds none. What a model carries from one training run to the
+next is its weights and hypothesis values; appended points get theirs from
+:func:`rq_kernel_product`, which evaluates the rows ``K(A, X)`` a block at
+a time and is never stored.
 
 Kernel functions are pure and thread-safe. A LazyGramMatrix is
 single-writer: it may move between threads but must not be mutated
@@ -38,8 +26,6 @@ concurrently.
 """
 
 from __future__ import annotations
-
-import mmap
 
 import numpy as np
 
@@ -130,73 +116,37 @@ def rq_kernel_product(A: np.ndarray, X: np.ndarray, w: np.ndarray, gamma: float)
     return out
 
 
-def _zero_buffer(cap: int) -> np.ndarray:
-    """A (cap, cap) float64 zero array on the buffer mapping of the module docstring.
-
-    ACCESS_COPY makes the anonymous mapping private: a shared one is backed
-    by shared memory, whose page faults cost more.
-    """
-    # mmap rejects length 0
-    mem = mmap.mmap(-1, max(cap * cap * 8, mmap.PAGESIZE), access=mmap.ACCESS_COPY)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        mem.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(mem, dtype=np.float64, count=cap * cap).reshape(cap, cap)
-
-
 class LazyGramMatrix:
-    """Dense kernel matrix filled one column at a time.
+    """Kernel matrix of one training run, as the list of its computed columns.
 
     Training only ever needs the columns of points whose weight gets
-    adjusted, so most columns are never evaluated. The matrix serves one
-    training run: :meth:`reset` starts it over, empty, for the next
-    dataset, on a fresh mapping if the run wrote any column. A mapping of
-    ``capacity`` rows can be reserved up front so the shrink/extend cycle
-    of a changing environment never grows it.
-
-    Entries hold rq_kernel values; a column is valid only once its
-    computed flag is set. The diagonal of a computed column is exactly 1.
-    Column j lives in buffer row j, so :meth:`ensure_column` returns a
-    contiguous row and :attr:`matrix` is the transposed view of the
-    buffer's live block.
+    adjusted, so most columns are never evaluated. ``columns[j]`` is column
+    j, a C-contiguous array of n rq_kernel values, or None until
+    :meth:`ensure_column` fills it. The diagonal entry of a computed column
+    is exactly 1. :meth:`reset` starts over, empty, for the next dataset.
     """
 
-    def __init__(self, gamma: float, capacity: int = 0):
+    reallocs = 0  # read by perfbench's kernels.gram_reallocs; kept until ROADMAP item 3
+
+    def __init__(self, gamma: float):
         check_float("gamma", gamma, 0.0, strict=True)
         self.gamma = float(gamma)
-        self._buf = _zero_buffer(capacity)
-        self._computed = np.zeros(capacity, dtype=bool)
+        self.columns: list[np.ndarray | None] = []
         self.n = 0
         self.kernel_evals = 0  # scalar kernel evaluations performed so far
-        self.reallocs = 0
 
     def reset(self, n: int) -> None:
-        """Start over with ``n`` points and no computed columns; moves no data.
-
-        If a column has been computed since the last reset, the buffer is
-        replaced by a fresh demand-zero mapping of the same capacity, and
-        the old mapping, with every page written into it, goes back to the
-        OS. ``reallocs`` counts only growth past the capacity.
-        """
-        grow = n > self._buf.shape[0]
-        if grow or self._computed.any():
-            cap = max(n, self._buf.shape[0])
-            self._buf = _zero_buffer(cap)
-            self._computed = np.zeros(cap, dtype=bool)
-            self.reallocs += grow
+        """Start over with ``n`` points and no computed columns; moves no data."""
+        self.columns = [None] * n
         self.n = n
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Transposed view of the live n-by-n block. Only computed columns are valid."""
-        return self._buf[: self.n, : self.n].T
-
     def column_computed(self, j: int) -> bool:
-        return bool(self._computed[j])
+        return self.columns[j] is not None
 
     @property
     def computed_count(self) -> int:
-        """Number of live columns whose computed flag is set."""
-        return int(np.count_nonzero(self._computed[: self.n]))
+        """Number of columns computed since the last reset."""
+        return sum(col is not None for col in self.columns)
 
     def ensure_column(self, X: np.ndarray, j: int) -> np.ndarray:
         """Fill column ``j`` against every current point and return it.
@@ -206,10 +156,8 @@ class LazyGramMatrix:
         n = self.n
         if not 0 <= j < n:
             raise IndexError(f"column {j} out of range for {n} points")
-        col = self._buf[j, :n]
-        if self._computed[j]:
-            return col
-        rq_kernel_vector(X[:n], X[j], self.gamma, out=col)
-        self._computed[j] = True
-        self.kernel_evals += n
+        col = self.columns[j]
+        if col is None:
+            col = self.columns[j] = rq_kernel_vector(X[:n], X[j], self.gamma)
+            self.kernel_evals += n
         return col

@@ -12,8 +12,8 @@ support points -- those the rest of the expansion already classifies
 correctly -- are shed one at a time to keep the model sparse.
 
 Each step touches a single Gram column, so the matrix is evaluated
-lazily, and it lives for one training run: sparsify discards it and
-returns its pages to the OS, so a sparsified model holds none. In a
+lazily, one column array at a time, and it lives for one training run:
+sparsify discards its columns, so a sparsified model holds none. In a
 changing environment, weights and hypothesis values are carried over
 between updates instead of retraining from scratch; a point appended to
 the sparsified model gets its hypothesis value from one kernel product
@@ -90,6 +90,7 @@ class TrainReport:
 class FastronModel:
     """Dataset, weights and hypothesis vector of the proxy checker."""
 
+    # capacity is accepted and ignored: perfbench passes it (ROADMAP item 3)
     def __init__(self, params: TrainParams, dim: int, capacity: int = 0):
         check_int("dim", dim, 1)
         self.params = params
@@ -98,7 +99,7 @@ class FastronModel:
         self.y = np.zeros(0, dtype=np.float64)
         self.alpha = np.zeros(0, dtype=np.float64)
         self.F = np.zeros(0, dtype=np.float64)
-        self.gram = LazyGramMatrix(params.gamma, capacity=capacity)
+        self.gram = LazyGramMatrix(params.gamma)
         self._sv: tuple[np.ndarray, np.ndarray] | None = None
         self.update_cycles = 0  # completed sampling.update_cycle passes
 
@@ -263,7 +264,7 @@ class FastronModel:
         F_before = F.copy()
         yF = np.empty(n)  # margin and step buffers, reused by every pass
         step = np.empty(n)
-        cols = [None] * n  # this run's Gram columns, each fetched from the Gram once
+        columns = gram.columns  # a missing one is filled by ensure_column alone, once
         support = int(np.count_nonzero(alpha))
         if record_loss:
             report.loss_trace.append(self._trace_loss(by))
@@ -281,9 +282,9 @@ class FastronModel:
                 delta = by.item(i) - F.item(i)
                 alpha[i] = a + delta
                 support += (a == 0.0) - (a + delta == 0.0)
-                col = cols[i]
+                col = columns[i]
                 if col is None:
-                    col = cols[i] = gram.ensure_column(X, i)
+                    col = gram.ensure_column(X, i)
                 np.multiply(col, delta, out=step)
                 F += step
                 report.corrections += 1
@@ -431,10 +432,10 @@ class FastronModel:
     @classmethod
     def load(cls, path) -> "FastronModel":
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln for ln in (l.strip() for l in fh) if ln]
+            lines = [(no, ln) for no, ln in enumerate((l.strip() for l in fh), 1) if ln]
         if not lines:
             raise ValueError(f"{path}: empty model file")
-        head = lines[0].split()
+        head = lines[0][1].split()
         if len(head) != 6 or head[0] != "fastron" or head[1] != "v1":
             raise ValueError(f"{path}: not a fastron v1 model file")
         try:
@@ -443,14 +444,16 @@ class FastronModel:
             check_int("d", d, 1)
             params = TrainParams(gamma=float(fields["gamma"]), beta=float(fields["beta"]))
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: bad header {lines[0]!r}: {exc!r}") from exc
+            raise ValueError(f"{path}: bad header {lines[0][1]!r}: {exc!r}") from exc
         if len(lines) - 1 != ns:
             raise ValueError(f"{path}: expected {ns} support points, found {len(lines) - 1}")
         rows = np.zeros((ns, d + 2), dtype=np.float64)  # X | y | alpha
-        for k, ln in enumerate(lines[1:]):
+        for k, (no, ln) in enumerate(lines[1:]):
             vals = [float(tok) for tok in ln.split()]
             if len(vals) != d + 2:
-                raise ValueError(f"{path}: line {k + 2} has {len(vals)} fields, expected {d + 2}")
+                raise ValueError(f"{path}: line {no} has {len(vals)} fields, expected {d + 2}")
+            if vals[-1] == 0.0:  # a saved model holds support points only
+                raise ValueError(f"{path}: line {no} has weight 0, not a support point")
             rows[k] = vals
         X, y, alpha = rows[:, :d], rows[:, d], rows[:, d + 1].copy()
         if not (np.isfinite(X).all() and np.isfinite(alpha).all()):

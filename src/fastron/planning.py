@@ -242,9 +242,11 @@ def verify_plan(plan: MotionPlan, oracle: CheckerFn, resolution: float) -> list[
 
     An empty list certifies the plan at this resolution. A one-waypoint
     plan (start == goal) is checked as the degenerate edge 0 from that
-    waypoint to itself.
+    waypoint to itself; a plan without waypoints raises ValueError.
     """
     wps = plan.waypoints
+    if len(wps) == 0:
+        raise ValueError("cannot verify a plan with an empty waypoint list")
     if len(wps) == 1:
         wps = wps * 2
     invalid = []

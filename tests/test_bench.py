@@ -669,7 +669,7 @@ def test_dynamic_recovery_from_teleporting_obstacle():
 
     cfg = small_static_config()
     chain = build_chain(cfg)
-    model = FastronModel(TrainParams(gamma=30.0), dim=2, capacity=3000)
+    model = FastronModel(TrainParams(gamma=30.0), dim=2)
     sampler = SamplerParams(a_max=400, kappa=4, seed=0, n_initial=1500)
     ws_a = Workspace([Box((0.55, 0.1, 0.25), (0.14, 0.14, 0.14))])
     ws_b = Workspace([Box((-0.4, -0.45, 0.3), (0.14, 0.14, 0.14))])  # jump

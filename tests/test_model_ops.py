@@ -403,9 +403,8 @@ def test_sparsify_gram_matches_eager():
     m = make_model(X, y)
     m.train()
     m.sparsify()
-    for j in range(m.n):
-        m.gram.ensure_column(m.X, j)
-    np.testing.assert_array_equal(m.gram.matrix, eager_gram(m.X, 30.0))
+    K = np.column_stack([m.gram.ensure_column(m.X, j) for j in range(m.n)])
+    np.testing.assert_array_equal(K, eager_gram(m.X, 30.0))
 
 
 # ----------------------------------------------------------------------
@@ -544,6 +543,15 @@ def test_load_rejects_non_finite_coordinate_or_weight(tmp_path):
         path.write_text("\n".join([lines[0], " ".join(toks)] + lines[2:]) + "\n")
         with pytest.raises(ValueError, match="non-finite"):
             FastronModel.load(path)
+
+
+def test_load_rejects_a_zero_weight(tmp_path):
+    # a zero-weight row would load as a model that is not sparsified
+    path = tmp_path / "bad.txt"
+    path.write_text("fastron v1 d=2 n=2 gamma=30.0 beta=1.0\n\n"
+                    "0.1 0.2 1.0 0.5\n0.3 0.4 -1.0 0.0\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: line 4 has weight 0"):  # blank lines count
+        FastronModel.load(path)
 
 
 @pytest.mark.parametrize("body", [

@@ -395,6 +395,13 @@ def test_plan_and_certify_when_planning_fails():
     assert result[2:] == (0.0, 0.0)
 
 
+def test_an_empty_plan_is_never_certified():
+    with pytest.raises(ValueError, match="empty waypoint list"):
+        verify_plan(MotionPlan([]), all_free, 0.05)
+    with pytest.raises(ValueError, match="empty waypoint list"):
+        plan_and_certify(lambda q: MotionPlan([]), _wall_query(all_free), all_free, 0.05)
+
+
 def test_plan_and_certify_repairs_a_proxy_plan():
     # the proxy sees no wall, so its plan crosses it and must be repaired
     plan, _, _, repair_s = plan_and_certify(rrt_connect_plan, _wall_query(all_free),

@@ -118,7 +118,7 @@ class FlatOracle:
 
 
 def make_cycle_model(dim=2, gamma=30.0):
-    return FastronModel(TrainParams(gamma=gamma), dim=dim, capacity=3000)
+    return FastronModel(TrainParams(gamma=gamma), dim=dim)
 
 
 def test_first_cycle_draws_initial_dataset():
