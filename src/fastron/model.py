@@ -17,7 +17,8 @@ sparsify discards its columns, so a sparsified model holds none. In a
 changing environment, weights and hypothesis values are carried over
 between updates instead of retraining from scratch; a point appended to
 the sparsified model gets its hypothesis value from one kernel product
-against the retained support points.
+against the retained support points. ``TrainReport.stop`` says which rule
+ended a training run.
 
 A model is single-writer. A trained model may be shared read-only across
 threads for predict/hypothesis.
@@ -70,19 +71,18 @@ class TrainParams:
 class TrainReport:
     """Instrumentation returned by a training run.
 
-    ``reverted`` says the run ended on the snapshot taken before its last
-    removal; ``early_stop`` says it got there because that removal was
-    followed by ``EARLY_REVERT_CORRECTIONS`` corrections without margins
-    turning all-positive again, rather than at the end of the run.
+    ``stop`` names the rule that ended it (see :meth:`FastronModel.train`),
+    even on its last allowed pass: ``"converged"``, ``"cap_blocked"``,
+    ``"early_revert"`` or ``"iter_max"``. ``reverted`` says it ended on the
+    snapshot taken before its last removal.
     """
 
     iterations_used: int = 0
     corrections: int = 0
     removals: int = 0
     final_misclassified: int = 0
+    stop: str = "converged"
     reverted: bool = False
-    early_stop: bool = False
-    cap_blocked: bool = False
     loss_trace: list[float] | None = None
     step_kinds: list[str] | None = None
 
@@ -95,12 +95,8 @@ class FastronModel:
         check_int("dim", dim, 1)
         self.params = params
         self.dim = dim
-        self.X = np.zeros((0, dim), dtype=np.float64)
-        self.y = np.zeros(0, dtype=np.float64)
-        self.alpha = np.zeros(0, dtype=np.float64)
-        self.F = np.zeros(0, dtype=np.float64)
         self.gram = LazyGramMatrix(params.gamma)
-        self._sv: tuple[np.ndarray, np.ndarray] | None = None
+        self._reset(np.zeros((0, dim)), np.zeros(0), np.zeros(0), np.zeros(0))
         self.update_cycles = 0  # completed sampling.update_cycle passes
 
     @property
@@ -113,6 +109,12 @@ class FastronModel:
 
     # ------------------------------------------------------------------
     # dataset management
+
+    def _reset(self, X, y, alpha, F) -> None:
+        # the one transition to a new dataset: a new Gram matrix, no cached query arrays
+        self.X, self.y, self.alpha, self.F = X, y, alpha, F
+        self.gram.reset(len(X))
+        self._sv = None
 
     def _validate_points(self, X: np.ndarray) -> None:
         if X.ndim != 2:
@@ -143,12 +145,7 @@ class FastronModel:
         y = self._validate_labels(y, n)
         if np.unique(X, axis=0).shape[0] != n:
             raise DuplicatePointError("dataset contains identical configurations")
-        self.X = X
-        self.y = y
-        self.alpha = np.zeros(n, dtype=np.float64)
-        self.F = np.zeros(n, dtype=np.float64)
-        self.gram.reset(n)
-        self._sv = None
+        self._reset(X, y, np.zeros(n), np.zeros(n))
 
     def set_labels(self, y) -> None:
         """Overwrite labels in place, keeping weights and hypothesis.
@@ -179,12 +176,9 @@ class FastronModel:
             raise DuplicatePointError("appended points collide with retained set")
         F_new = rq_kernel_product(A, self.X, self.alpha, self.params.gamma)
         self.gram.kernel_evals += A.shape[0] * self.n
-        self.gram.reset(combined.shape[0])
-        self.X = combined
-        self.y = np.concatenate([self.y, y_A])
-        self.alpha = np.concatenate([self.alpha, np.zeros(A.shape[0])])
-        self.F = np.concatenate([self.F, F_new])
-        self._sv = None
+        self._reset(combined, np.concatenate([self.y, y_A]),
+                    np.concatenate([self.alpha, np.zeros(A.shape[0])]),
+                    np.concatenate([self.F, F_new]))
 
     def sparsify(self) -> int:
         """Drop every zero-weight point and the Gram matrix; returns how many points went.
@@ -195,13 +189,7 @@ class FastronModel:
         """
         keep = np.flatnonzero(self.alpha != 0.0)
         dropped = self.n - keep.size
-        self.gram.reset(keep.size)
-        if dropped:
-            self.X = self.X[keep]
-            self.y = self.y[keep]
-            self.alpha = self.alpha[keep]
-            self.F = self.F[keep]
-            self._sv = None
+        self._reset(self.X[keep], self.y[keep], self.alpha[keep], self.F[keep])
         return dropped
 
     # ------------------------------------------------------------------
@@ -240,13 +228,14 @@ class FastronModel:
 
         Each pass either corrects the worst-margin point (when some
         margin is <= 0), removes one redundant support point (when all
-        margins are positive, after snapshotting the state), or stops.
-        When the support cap blocks adding the worst point, one removal
-        is attempted before retrying; if nothing can be removed, training
-        terminates. A removal followed by ``EARLY_REVERT_CORRECTIONS``
-        corrections, with some margin still <= 0 after them, is given up:
-        the snapshot taken just before it is restored and training stops
-        (``early_stop``). Otherwise, if the final state misclassifies more
+        margins are positive, after snapshotting the state), or stops
+        (``"converged"``). When the support cap blocks adding the worst
+        point, one removal is attempted before retrying; if nothing can be
+        removed, training stops (``"cap_blocked"``). A removal followed by
+        ``EARLY_REVERT_CORRECTIONS`` corrections, with some margin still
+        <= 0 after them, is given up: the snapshot taken just before it is
+        restored and training stops (``"early_revert"``). After ``iter_max``
+        passes (``"iter_max"``), if the final state misclassifies more
         points than the last snapshot, the snapshot is restored.
         """
         p = self.params
@@ -275,7 +264,7 @@ class FastronModel:
             i = int(yF.argmin())  # ties resolve to the lowest index
             misclassified = yF.item(i) <= 0.0
             if misclassified and report.removals and since_removal == EARLY_REVERT_CORRECTIONS:
-                report.early_stop = True  # the last removal has not been repaired: give it up
+                report.stop = "early_revert"  # the last removal is not repaired: give it up
                 break
             a = alpha.item(i)
             if misclassified and (a != 0.0 or support < p.s_max):
@@ -296,7 +285,7 @@ class FastronModel:
                 alpha_before[:] = alpha
                 F_before[:] = F
                 if not self.remove_redundant():
-                    report.cap_blocked = misclassified
+                    report.stop = "cap_blocked" if misclassified else "converged"
                     break
                 support -= 1
                 report.removals += 1
@@ -305,7 +294,9 @@ class FastronModel:
             if record_loss:
                 report.loss_trace.append(self._trace_loss(by))
                 report.step_kinds.append(kind)
-        if report.early_stop or int(np.sum(y * F_before <= 0.0)) < int(np.sum(y * F <= 0.0)):
+        else:
+            report.stop = "iter_max"
+        if report.stop == "early_revert" or np.sum(y * F_before <= 0.0) < np.sum(y * F <= 0.0):
             alpha[:] = alpha_before
             F[:] = F_before
             report.reverted = True
@@ -449,15 +440,22 @@ class FastronModel:
             raise ValueError(f"{path}: expected {ns} support points, found {len(lines) - 1}")
         rows = np.zeros((ns, d + 2), dtype=np.float64)  # X | y | alpha
         for k, (no, ln) in enumerate(lines[1:]):
-            vals = [float(tok) for tok in ln.split()]
+            try:
+                vals = [float(tok) for tok in ln.split()]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {no} has a non-number: {exc}") from exc
             if len(vals) != d + 2:
                 raise ValueError(f"{path}: line {no} has {len(vals)} fields, expected {d + 2}")
-            if vals[-1] == 0.0:  # a saved model holds support points only
-                raise ValueError(f"{path}: line {no} has weight 0, not a support point")
             rows[k] = vals
         X, y, alpha = rows[:, :d], rows[:, d], rows[:, d + 1].copy()
-        if not (np.isfinite(X).all() and np.isfinite(alpha).all()):
-            raise ValueError(f"{path}: non-finite coordinate or weight")
+        for bad, what in ((~np.isfinite(rows).all(axis=1), "a non-finite field"),
+                          (alpha == 0.0, "weight 0, not a support point"),
+                          (np.abs(y) != 1.0, "a label other than +1 or -1"),
+                          ((np.abs(X) > 1.0).any(axis=1), "a coordinate outside [-1, 1]"),
+                          (~np.isin(np.arange(ns), np.unique(X, axis=0, return_index=True)[1]),
+                           "the configuration of an earlier line")):
+            if bad.any():
+                raise ValueError(f"{path}: line {lines[1 + int(bad.argmax())][0]} has {what}")
         model = cls(params, dim=d)
         model.set_data(X, y)
         model.alpha = alpha

@@ -37,15 +37,16 @@ def reference_train(X, y, gamma, beta, iter_max, s_max, early_revert, alpha=None
     the snapshot and stops instead. A final state that misclassifies
     more points than the snapshot is replaced by it. Starts from zero
     weights unless ``alpha`` and ``F`` are given. Returns
-    ``(alpha, F, counts)`` with the ``TrainReport`` counters.
+    ``(alpha, F, counts)`` with the ``TrainReport`` counters; ``stop`` is
+    "converged", "cap_blocked" or "early_revert" for the rule that broke
+    the loop, and "iter_max" when the loop ran out.
     """
     K = eager_gram(X, gamma)
     n = len(X)
     alpha = np.zeros(n) if alpha is None else np.array(alpha, dtype=float)
     F = np.zeros(n) if F is None else np.array(F, dtype=float)
     target = np.where(y > 0.0, beta, 1.0) * y
-    counts = dict(iterations_used=0, corrections=0, removals=0, reverted=False,
-                  early_stop=False, cap_blocked=False)
+    counts = dict(iterations_used=0, corrections=0, removals=0, reverted=False, stop="iter_max")
     snap = (alpha.copy(), F.copy())
     since_removal = None  # corrections since the last removal, once there is one
     for _ in range(iter_max):
@@ -56,7 +57,7 @@ def reference_train(X, y, gamma, beta, iter_max, s_max, early_revert, alpha=None
         if margins[i] <= 0.0:
             if since_removal == early_revert:
                 alpha, F = snap
-                counts["reverted"] = counts["early_stop"] = True
+                counts["reverted"], counts["stop"] = True, "early_revert"
                 break
             if alpha[i] != 0.0 or np.count_nonzero(alpha) < s_max:
                 delta = target[i] - F[i]
@@ -76,7 +77,7 @@ def reference_train(X, y, gamma, beta, iter_max, s_max, early_revert, alpha=None
             counts["removals"] += 1
             since_removal = 0
             continue
-        counts["cap_blocked"] = blocked
+        counts["stop"] = "cap_blocked" if blocked else "converged"
         break
     if np.sum(y * snap[1] <= 0.0) < np.sum(y * F <= 0.0):
         alpha, F = snap

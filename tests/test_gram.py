@@ -229,8 +229,8 @@ def _resident_bytes():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_buffer_is_resident_only_where_written():
-    # 50 scattered rows of a 4000 x 4000 buffer are 1.6 MB; a buffer on
-    # huge pages would make most of its 128 MB resident in 2 MB units
+    # 50 scattered columns of n = 4000 are 1.6 MB; the Gram holds only the
+    # columns computed, where the whole 4000 x 4000 matrix would be 128 MB
     X = np.random.default_rng(8).uniform(-1, 1, (4000, 4))
     before = _resident_bytes()
     g = LazyGramMatrix(10.0)

@@ -93,9 +93,9 @@ def _dynamic_2dof(tmp_dir: Path) -> dict[str, bytes]:
 
 
 def _static_4dof_cycles(tmp_dir: Path) -> dict[str, bytes]:
-    # the d = 4 update cycle: the seed-0 model (trained on 4,000 points, past
-    # the s_max + a_max rows its Gram reserves) refined in place while |S|
-    # climbs to s_max; each line digests the model's arrays after one cycle
+    # the d = 4 update cycle: the seed-0 model (trained on its 4,000 points)
+    # refined in place while |S| climbs to s_max; each line digests the
+    # model's arrays after one cycle
     cfg = _config("static_4dof")
     scene = Scene(cfg, 0)
     model, _ = scene.train()

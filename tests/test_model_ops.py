@@ -554,6 +554,20 @@ def test_load_rejects_a_zero_weight(tmp_path):
         FastronModel.load(path)
 
 
+@pytest.mark.parametrize("rows, match", [
+    ("0.1 abc 1.0 0.5", r"line 3 has a non-number: could not convert string to float: 'abc'"),
+    ("0.1 0.2 0.5 0.5", r"line 3 has a label other than \+1 or -1"),
+    ("2.0 0.2 1.0 0.5", r"line 3 has a coordinate outside \[-1, 1\]"),
+    ("0.3 0.4 -1.0 0.2\n0.3 0.4 -1.0 0.2", r"line 4 has the configuration of an earlier line"),
+], ids=["not-a-number", "label", "coordinate", "duplicate"])
+def test_load_rejection_names_the_file_and_line(tmp_path, rows, match):
+    path = tmp_path / "bad.txt"
+    body = "0.5 0.5 1.0 0.7\n" + rows + "\n"
+    path.write_text(f"fastron v1 d=2 n={body.count(chr(10))} gamma=30.0 beta=1.0\n" + body)
+    with pytest.raises(ValueError, match=r"bad\.txt: " + match):
+        FastronModel.load(path)
+
+
 @pytest.mark.parametrize("body", [
     "fastron v1 d=0 n=0 gamma=30.0 beta=1.0",
     "fastron v1 d=-1 n=1 gamma=30.0 beta=1.0\n0.5 1.0 1.0",

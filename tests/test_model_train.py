@@ -62,6 +62,7 @@ def test_empty_dataset_trains_trivially():
     m = FastronModel(TrainParams(gamma=30.0), dim=2)
     rep = m.train()
     assert rep.iterations_used == 0
+    assert rep.stop == "converged" and not rep.reverted
     assert m.predict(np.zeros(2)) == 1  # conservative tie-break
 
 
@@ -171,7 +172,7 @@ def test_cap_blocked_termination_reported():
     y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     m = make_model(X, y, s_max=5)
     rep = m.train()
-    assert rep.cap_blocked
+    assert rep.stop == "cap_blocked"
     assert np.count_nonzero(m.alpha) <= 5
 
 
@@ -209,12 +210,32 @@ def test_train_report_invariant_unbounded_runs():
         X, y = random_dataset(rng, 40, 2)
         m = make_model(X, y)
         rep = m.train()
-        if rep.iterations_used < m.params.iter_max and not rep.reverted and not rep.cap_blocked:
-            assert rep.final_misclassified == 0
+        if rep.stop == "converged":
+            assert rep.final_misclassified == 0 and not rep.reverted
+
+
+def test_stop_names_the_rule_even_on_the_last_pass():
+    # the warm run of the seed-80845330 example below gives its last removal
+    # up on pass 25 of 25: it stopped by its own rule, not by the budget
+    rng = np.random.default_rng(80845330)
+    X, y = random_dataset(rng, 20, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "EARLY_REVERT_CORRECTIONS", 4)
+        m = make_model(X, y, gamma=3.0, s_max=12, iter_max=25)
+        m.train()
+        m.set_labels(np.where(rng.random(20) < 0.3, -y, y))
+        rep = m.train()
+    assert rep.iterations_used == m.params.iter_max
+    assert rep.stop == "early_revert" and rep.reverted
+    # the same data with a budget too short for any rule to fire
+    m = make_model(X, y, gamma=3.0, iter_max=3)
+    rep = m.train()
+    assert rep.iterations_used == 3 and rep.stop == "iter_max"
+    assert rep.corrections == 3 and rep.removals == 0
 
 
 REPORT_COUNTS = ("iterations_used", "corrections", "removals", "final_misclassified",
-                 "reverted", "early_stop", "cap_blocked")
+                 "reverted", "stop")
 
 
 def assert_matches_reference(m, rep, alpha, F, counts):

@@ -274,7 +274,7 @@ def test_churning_cycle_stops_early_on_the_snapshot_before_its_removal():
             workspace = workspace.stepped()
         update_cycle(model, make_label_fn(chain, workspace), cfg.sampler_params(0))
     report, alpha, F, (snap_alpha, snap_F) = ends[1]
-    assert report.early_stop and report.reverted
+    assert report.stop == "early_revert" and report.reverted
     assert report.removals > 0
     assert report.corrections >= model_module.EARLY_REVERT_CORRECTIONS
     assert report.iterations_used < model.params.iter_max

@@ -9,11 +9,14 @@ turns them into, per workload and end-to-end metric, the median, the
 quartiles (``statistics.quantiles``, n=4) and the raw values over the seeds,
 plus the traced run's per-layer metrics. Then it runs the Tier-1 suite
 once (``python -m pytest -q --continue-on-collection-errors
---durations=10`` with ``src`` on ``PYTHONPATH``) and records its wall time,
-its pass and fail counts and its ten slowest tests, and it counts the lines
-of ``src/`` (``wc -l src/fastron/*.py src/fastron/bench/*.py``). It adds
-the git revision (marked ``+dirty`` when ``src/``, ``perfbench/`` or this
-script has uncommitted changes), ``nproc``, the Python and numpy versions,
+--durations=10 -rP`` with ``src`` on ``PYTHONPATH``) and records its wall
+time, its pass and fail counts, its ten slowest tests and every
+``[criterion NN] PASS|FAIL: ...`` line the acceptance tests print (``-rP``
+shows passing tests' captured output; capture itself stays on), and it
+counts the lines of ``src/`` (``wc -l src/fastron/*.py
+src/fastron/bench/*.py``). It adds the git revision (marked ``+dirty``
+when ``src/``, ``perfbench/``, ``tests/``, ``configs/`` or this script has
+uncommitted changes), ``nproc``, the Python and numpy versions,
 numpy's build config and report.py's printed summary, and writes the next
 free ``BENCH_<n>.json`` at the repository root. Exit code 0 on success, 1
 when report.py fails; failing tests are recorded, not an error.
@@ -37,7 +40,8 @@ HOW = ("report.py run unchanged at this revision; per workload, 'metrics' holds 
        "quartiles (statistics.quantiles, n=4) of each end-to-end metric over the untraced runs "
        "of seeds 1-10, from the .bench_out/report-<workload>.json it writes, and 'traced' the "
        "per-layer metrics of the traced seed-1 run")
-TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10", "-rP"]
+CRITERION = re.compile(r"\[criterion (\d+)\] (PASS|FAIL): (.*)$")  # tests/test_acceptance.py::_report
 
 
 def _next_n() -> int:
@@ -51,7 +55,7 @@ def _revision() -> str:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                               check=True).stdout.strip()
 
-    dirty = git("status", "--porcelain", "--", "src", "perfbench", "tools")
+    dirty = git("status", "--porcelain", "--", "src", "perfbench", "tools", "tests", "configs")
     return git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
 
 
@@ -75,8 +79,10 @@ def _tier1() -> dict:
     slow = re.compile(r"(\d+\.\d+)s (setup|call|teardown) +(\S+)$")  # a --durations line
     slowest = [{"seconds": float(m[1]), "when": m[2], "test": m[3]}
                for m in map(slow.match, lines) if m]
+    criteria = [{"criterion": int(m[1]), "result": m[2], "detail": m[3]}
+                for m in map(CRITERION.match, lines) if m]
     return {"command": "python " + " ".join(TIER1), "wall_s": wall, "exit_code": proc.returncode,
-            "counts": counts, "summary": summary, "slowest": slowest}
+            "counts": counts, "summary": summary, "slowest": slowest, "criteria": criteria}
 
 
 def _workload(raw: dict) -> dict:
