@@ -1,10 +1,11 @@
 """Learned proxy collision detection for robot configuration spaces.
 
-A trained model answers "is this configuration in collision?" one to two
-orders of magnitude faster than running forward kinematics plus convex
-intersection tests, at the price of being approximate. The package pairs
-the learner with the exact geometric oracle it is trained against,
-sampling-based planners that consume either checker, and a benchmark CLI.
+A trained model answers "is this configuration in collision?" several times
+faster per query than forward kinematics plus convex intersection tests, more
+in batches (the newest ``BENCH_<n>.json`` holds the measured ratios), at the
+price of being approximate. The package pairs the learner with the exact
+geometric oracle it is trained against, planners that consume either checker,
+and a benchmark CLI.
 """
 
 from . import kernels, model, sampling, geometry, planning

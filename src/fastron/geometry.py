@@ -510,13 +510,14 @@ def label_points(label, P) -> np.ndarray:
     call the labeler point by point instead.
     """
     P = np.asarray(P, dtype=np.float64)
-    d = P.shape[1]
-    bits = max(1, min(8, 62 // d))
+    if P.ndim != 2:
+        raise ValueError(f"points must be a 2-D array, got shape {P.shape}")
+    bits = max(1, min(8, 62 // P.shape[1]))
     # fmax and fmin put a NaN coordinate in cell 0, for the labeler to reject
     g = np.fmin(np.fmax(np.floor((P + 1.0) * 2.0 ** (bits - 1)), 0), 2**bits - 1).astype(np.int64)
     key = np.zeros(P.shape[0], dtype=np.int64)
     for b in range(bits - 1, -1, -1):
-        for k in range(d):
+        for k in range(P.shape[1]):
             key = (key << 1) | ((g[:, k] >> b) & 1)
     order = np.argsort(key, kind="stable")
     y = np.empty(P.shape[0], dtype=np.float64)

@@ -48,7 +48,7 @@ def _batch_rows(support: int) -> int:  # the largest power of two that fits, at 
 
 
 class DuplicatePointError(ValueError):
-    """A dataset would contain two bitwise-identical configurations."""
+    """A dataset would contain two equal configurations (0.0 and -0.0 are equal)."""
 
 
 @dataclass
@@ -155,7 +155,7 @@ class FastronModel:
         training adapts the carried-over weights. Flipped labels may
         leave ``y_i * alpha_i < 0`` until training touches point i.
         """
-        self.y = self._validate_labels(y, self.n)
+        self.y[:] = self._validate_labels(y, self.n)
 
     def append_points(self, A, y_A) -> None:
         """Add new points to a sparsified model.
@@ -447,7 +447,7 @@ class FastronModel:
             if len(vals) != d + 2:
                 raise ValueError(f"{path}: line {no} has {len(vals)} fields, expected {d + 2}")
             rows[k] = vals
-        X, y, alpha = rows[:, :d], rows[:, d], rows[:, d + 1].copy()
+        X, y, alpha = rows[:, :d].copy(), rows[:, d].copy(), rows[:, d + 1].copy()
         for bad, what in ((~np.isfinite(rows).all(axis=1), "a non-finite field"),
                           (alpha == 0.0, "weight 0, not a support point"),
                           (np.abs(y) != 1.0, "a label other than +1 or -1"),
@@ -457,8 +457,6 @@ class FastronModel:
             if bad.any():
                 raise ValueError(f"{path}: line {lines[1 + int(bad.argmax())][0]} has {what}")
         model = cls(params, dim=d)
-        model.set_data(X, y)
-        model.alpha = alpha
-        model.F = rq_kernel_product(model.X, model.X, alpha, params.gamma)
+        model._reset(X, y, alpha, rq_kernel_product(X, X, alpha, params.gamma))
         model.gram.kernel_evals += ns * ns
         return model

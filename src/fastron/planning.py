@@ -94,7 +94,10 @@ def edge_valid(a, b, checker: CheckerFn, resolution: float) -> bool:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     ab = b - a
-    steps = max(1, math.ceil(math.sqrt(ab.dot(ab)) / resolution))
+    length = math.sqrt(ab.dot(ab))
+    if not math.isfinite(length):
+        raise ValueError(f"edge endpoints must be finite, got {a.tolist()} and {b.tolist()}")
+    steps = max(1, math.ceil(length / resolution))
     delta = ab / steps
     # sample k is a + k * delta, made _EDGE_BLOCK at a time so that a fine
     # resolution costs checks, not memory

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,15 @@ def test_labelers_of_a_stepped_workspace_share_no_memory(monkeypatch):
         counts.append(len(walks))
     # 2 links x 2 obstacles walk once per labeler, then their axes certify
     assert counts == [4, 0, 4, 0]
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()])
+def test_label_points_rejects_points_that_are_not_a_2d_array(shape):
+    def label(p):
+        raise AssertionError("no point may reach the labeler")
+
+    with pytest.raises(ValueError, match=rf"2-D array, got shape {re.escape(str(shape))}"):
+        label_points(label, np.zeros(shape))
 
 
 @pytest.mark.parametrize("make_chain", [two_dof_rod, four_dof_rod], ids=["dof2", "dof4"])

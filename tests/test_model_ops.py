@@ -508,6 +508,23 @@ def test_load_builds_F_bitwise_from_the_eager_gram(tmp_path):
     np.testing.assert_array_equal(m2.F[n_old:], m.F[n_old:])
 
 
+def test_load_enters_through_reset_alone(tmp_path):
+    # load checks its rows itself and never goes through set_data
+    rng = np.random.default_rng(11)
+    m = make_model(rng.uniform(-1, 1, (120, 3)), np.where(rng.random(120) < 0.4, 1.0, -1.0))
+    m.train()
+    m.sparsify()
+    path = tmp_path / "model.txt"
+    m.save(path)
+    with mock.patch.object(FastronModel, "set_data", side_effect=AssertionError("set_data")):
+        m2 = FastronModel.load(path)
+    for arr in (m2.X, m2.y, m2.alpha, m2.F):
+        assert arr.flags.c_contiguous and arr.flags.owndata
+    assert m2.gram.n == m2.n and m2.gram.computed_count == 0
+    for q in rng.uniform(-1, 1, (300, 3)):
+        assert m2.hypothesis(q) == m.hypothesis(q)  # bitwise
+
+
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")

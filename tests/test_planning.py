@@ -104,6 +104,19 @@ def test_edge_valid_rejects_infinite_resolution():
         edge_valid([-0.5, 0.0], [0.5, 0.0], Disc([0.0, 0.0], 0.1), float("inf"))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in b - a
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_edge_valid_and_verify_plan_reject_a_non_finite_endpoint(bad):
+    chk = Disc([0.0, 0.0], 0.1)
+    for a, b in (([bad, 0.0], [0.5, 0.0]), ([-0.5, 0.0], [0.5, bad]), ([bad, 0.0], [bad, 0.0])):
+        with pytest.raises(ValueError, match=r"edge endpoints must be finite, got \["):
+            edge_valid(a, b, chk, 0.05)
+    plan = MotionPlan(waypoints=[np.array([-0.5, 0.5]), np.array([bad, 0.5])])
+    with pytest.raises(ValueError, match="edge endpoints must be finite"):
+        verify_plan(plan, chk, 0.05)
+    assert chk.calls == 0
+
+
 @pytest.mark.parametrize("kw, field", [
     ({"max_iterations": 0}, "max_iterations"),
     ({"max_iterations": 10.5}, "max_iterations"),
