@@ -510,8 +510,8 @@ def label_points(label, P) -> np.ndarray:
     call the labeler point by point instead.
     """
     P = np.asarray(P, dtype=np.float64)
-    if P.ndim != 2:
-        raise ValueError(f"points must be a 2-D array, got shape {P.shape}")
+    if P.ndim != 2 or P.shape[1] < 1:
+        raise ValueError(f"points must be an (n, d) array with d >= 1, got shape {P.shape}")
     bits = max(1, min(8, 62 // P.shape[1]))
     # fmax and fmin put a NaN coordinate in cell 0, for the labeler to reject
     g = np.fmin(np.fmax(np.floor((P + 1.0) * 2.0 ** (bits - 1)), 0), 2**bits - 1).astype(np.int64)

@@ -441,12 +441,13 @@ def test_labelers_of_a_stepped_workspace_share_no_memory(monkeypatch):
     assert counts == [4, 0, 4, 0]
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()])
-def test_label_points_rejects_points_that_are_not_a_2d_array(shape):
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 2), (), (3, 0)])
+def test_label_points_rejects_points_that_are_not_an_n_by_d_array(shape):
     def label(p):
         raise AssertionError("no point may reach the labeler")
 
-    with pytest.raises(ValueError, match=rf"2-D array, got shape {re.escape(str(shape))}"):
+    want = r"\(n, d\) array with d >= 1, got shape " + re.escape(str(shape))
+    with pytest.raises(ValueError, match=want):
         label_points(label, np.zeros(shape))
 
 
